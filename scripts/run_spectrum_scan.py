@@ -3,8 +3,8 @@
 
 Builds the rectangular pencil at each total degree up to --max-degree, solves
 it at the given beta, and prints the certified eigenvalues together with any
-closed-form level they match. Degrees around N can take tens of seconds for
-N = 9.
+closed-form level they match. Blocks are built in integers from their closed
+form, so a scan of N = 9 up to degree 9 takes a second or two.
 """
 
 import argparse

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -28,6 +27,7 @@ from .model import (
 )
 from .oracle import (
     PASS,
+    SamplingError,
     conversion_coefficient,
     predicted_physical,
     verify_eigenstate,
@@ -82,18 +82,6 @@ def _sampling(parser):
 def _output(parser):
     parser.add_argument("--output", choices=("json", "csv"), default="json")
     parser.add_argument("--out", dest="out_path", default=None)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("TCSM_THREADS", "1")),
-        help="evaluation thread budget (evaluation is vectorized; kept for config echo)",
-    )
-    parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        default=True,
-        help="sequential reduction for byte-identical output (always on)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,7 +296,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         result = HANDLERS[args.command](args)
-    except (ParameterDomainError, ValueError) as exc:
+    except (ParameterDomainError, SamplingError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     result["command"] = args.command

@@ -55,11 +55,6 @@ def dual_grad_and_second_log_psi0(params: ModelParams, x: np.ndarray):
     return grad, second
 
 
-def dual_laplacian_ratio_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    g, h = dual_grad_and_second_log_psi0(params, x)
-    return (g * g).sum(axis=-1) + h.sum(axis=-1)
-
-
 def _phi_generic(spec: StateSpec, params: ModelParams, zs: list):
     """Evaluate phi from a list of z values; entries may be Dual2."""
     n = params.n
@@ -93,7 +88,7 @@ def _phi_generic(spec: StateSpec, params: ModelParams, zs: list):
     if spec.kind == POLY:
         total = 0.0
         for exps, coeff in spec.poly.terms.items():
-            term = complex(coeff.subs(params.beta))
+            term = complex(coeff)
             for zj, e in zip(zs, exps):
                 if e:
                     term = zj**e * term

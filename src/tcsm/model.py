@@ -1,4 +1,5 @@
-"""Model parameters, interaction geometry, and closed-form counts/energies.
+"""Model parameters, interaction geometry, and closed-form counts, energies
+and excited levels.
 
 Everything here is exact: parameters are validated once, the pair/triple
 lists are enumerated combinatorially, and the counting/energy formulas are
@@ -77,10 +78,10 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
         raise ParameterDomainError(f"need integer N >= 3, got {n!r}")
     if not isinstance(r, int) or r < 1:
         raise ParameterDomainError(f"need integer r >= 1, got {r!r}")
-    if not length > 0:
-        raise ParameterDomainError(f"need L > 0, got {length!r}")
-    if not beta > 0:
-        raise ParameterDomainError(f"need beta > 0, got {beta!r}")
+    if not 0 < length < math.inf:
+        raise ParameterDomainError(f"need finite L > 0, got {length!r}")
+    if not 0 < beta < math.inf:
+        raise ParameterDomainError(f"need finite beta > 0, got {beta!r}")
 
     c = n // 2 if n % 2 == 0 else (n - 1) // 2
     regime = FULL if r >= c else TRUNCATED
@@ -172,3 +173,21 @@ def ground_energy_reduced(params: ModelParams) -> float:
 def ground_energy_physical(params: ModelParams) -> float:
     """Ground-state energy in physical units (hbar = m = 1)."""
     return ground_energy_reduced(params) * (math.pi / params.length) ** 2
+
+
+def closed_form_levels(params: ModelParams, beta: float) -> dict[str, float]:
+    """The five known reduced levels eps - eps0 at a numeric beta.
+
+    rho is the per-site drift weight (2r in the truncated regime), so the
+    levels read 1+rho*beta, (N-1)+rho*beta, N, N+2(1+rho*beta), 2+2*rho*beta.
+    The keys are the state kinds of `wavefunction`.
+    """
+    n = params.n
+    rb = params.drift_weight * beta
+    return {
+        "e1": 1.0 + rb,
+        "enm1": (n - 1.0) + rb,
+        "en": float(n),
+        "combo": n + 2.0 * (1.0 + rb),
+        "nondeg_zero": 2.0 + 2.0 * rb,
+    }

@@ -15,7 +15,7 @@ import numpy as np
 from .model import (
     ModelParams,
     ParameterDomainError,
-    derive_params,
+    closed_form_levels,
     ground_energy_physical,
     interaction_pairs,
     three_body_triples,
@@ -130,25 +130,14 @@ def sample_configurations(
 
 # -- reduced-unit conversion ----------------------------------------------
 
-_CALIBRATION = {}
-
-
 def conversion_coefficient() -> float:
     """Dimensionless c0 in  E - E0 = c0 * (pi^2/L^2) * (eps - eps0).
 
-    Two derivations of this constant disagree by a factor of 2, so it is
-    measured once: the r=1 nearest-neighbor e1 level is required to sit at
-    eps - eps0 = 1 + 2*beta.  The measured value is cached and reported.
+    With z_j = exp(2 pi i x_j / L), d/dx_j = (2 pi i / L) D_j, so the kinetic
+    term -1/2 d^2/dx_j^2 is 2 (pi/L)^2 D_j^2 and c0 = 2 exactly.
+    `test_conversion_is_two` checks that the oracle measures it.
     """
-    if "c0" not in _CALIBRATION:
-        params = derive_params(4, 1, beta=1.0)
-        x = sample_positions(params, 64, seed=20260826, min_sep_frac=1e-2)
-        e, nodes = local_energy_batch(params, StateSpec(E1), x)
-        mean = float(e[~nodes].real.mean())
-        e0 = ground_energy_physical(params)
-        c0 = (mean - e0) * params.length**2 / math.pi**2 / (1.0 + 2.0 * params.beta)
-        _CALIBRATION["c0"] = c0
-    return _CALIBRATION["c0"]
+    return 2.0
 
 
 def conversion_factor(params: ModelParams) -> float:
@@ -159,9 +148,6 @@ def conversion_factor(params: ModelParams) -> float:
 def to_reduced(params: ModelParams, energy: float) -> float:
     """Map a physical energy to eps - eps0."""
     return (energy - ground_energy_physical(params)) / conversion_factor(params)
-
-
-_HOMOGENEOUS_DEGREE = {GROUND: 0, E1: 1, EN: None, ENM1: None, COMBO: None, NONDEG_ZERO: 0}
 
 
 def state_degree(spec: StateSpec, n: int) -> int | None:
@@ -183,21 +169,12 @@ def state_degree(spec: StateSpec, n: int) -> int | None:
 def predicted_reduced_level(spec: StateSpec, params: ModelParams) -> float | None:
     """Closed-form eps - eps0 for the known states; None if no prediction.
 
-    rho is the per-site drift weight (2r in the truncated regime), so the
-    levels read 1+rho*beta, (N-1)+rho*beta, N, N+2(1+rho*beta), 2+2*rho*beta.
+    The levels are `model.closed_form_levels`; the cos and sin sums share
+    the e1 level.
     """
     n = params.n
-    rb = params.drift_weight * params.beta
-    table = {
-        GROUND: 0.0,
-        E1: 1.0 + rb,
-        ENM1: (n - 1.0) + rb,
-        EN: float(n),
-        COMBO: n + 2.0 * (1.0 + rb),
-        COS_SUM: 1.0 + rb,
-        SIN_SUM: 1.0 + rb,
-        NONDEG_ZERO: 2.0 + 2.0 * rb,
-    }
+    table = closed_form_levels(params, params.beta)
+    table.update({GROUND: 0.0, COS_SUM: table[E1], SIN_SUM: table[E1]})
     if spec.kind in table:
         return table[spec.kind]
     if spec.kind == BOOSTED:
@@ -276,6 +253,8 @@ def verify_eigenstate(
     Node-hit configurations are dropped and replaced (fresh sub-seed) so the
     report always aggregates `count` valid samples.
     """
+    if count < 1:
+        raise ParameterDomainError(f"need samples >= 1, got {count}")
     energies = np.empty(0, dtype=complex)
     node_rejections = 0
     round_ = 0
@@ -311,7 +290,7 @@ def verify_eigenstate(
         predicted=predicted,
         predicted_reduced=None if predicted is None else to_reduced(params, predicted),
         verdict=verdict,
-        unit_note=f"reduced = (E - E0) * L^2 / (c0*pi^2), c0 = {c0:.12f} (r=1 calibration)",
+        unit_note=f"reduced = (E - E0) * L^2 / (c0*pi^2), c0 = {c0:.12f} (exact)",
         node_rejections=node_rejections,
         tol=tol,
     )

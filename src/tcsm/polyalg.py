@@ -1,10 +1,9 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
-Coefficients are linear forms a + b*B in a formal parameter B (the
-wavefunction exponent), held as exact rationals.  This is all the
-transformed-operator algebra ever needs: the drift is applied once per
-term, so matrix entries stay linear in B and numeric substitution can
-happen at solve time.
+Coefficients are exact rationals (`Fraction`).  This generic algebra is the
+reference for the transformed operator (`spectral.apply_H1`) and for the
+exact eigen, parity and boost checks; the degree-block pencils are built
+from their integer closed form instead.
 
 Exponent vectors are plain int tuples; negative exponents are allowed.
 Serialization uses a canonical graded-lexicographic term order so goldens
@@ -19,10 +18,6 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 
-class CoeffDegreeError(ArithmeticError):
-    """Multiplying two B-dependent coefficients would produce B^2."""
-
-
 class DivisionError(ArithmeticError):
     """Exact division failed; carries the offending remainder."""
 
@@ -31,55 +26,8 @@ class DivisionError(ArithmeticError):
         self.remainder = remainder
 
 
-@dataclass(frozen=True)
-class Coeff:
-    """Exact coefficient a + b*B."""
-
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-
-    @staticmethod
-    def of(value) -> "Coeff":
-        if isinstance(value, Coeff):
-            return value
-        return Coeff(Fraction(value))
-
-    def __add__(self, other: "Coeff") -> "Coeff":
-        return Coeff(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "Coeff") -> "Coeff":
-        return Coeff(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "Coeff":
-        return Coeff(-self.a, -self.b)
-
-    def __mul__(self, other: "Coeff") -> "Coeff":
-        if self.b and other.b:
-            raise CoeffDegreeError("product of two B-linear coefficients")
-        return Coeff(
-            self.a * other.a,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def times_b(self) -> "Coeff":
-        """Multiply by the formal parameter B."""
-        if self.b:
-            raise CoeffDegreeError("B * (a + b*B) would need a B^2 term")
-        return Coeff(Fraction(0), self.a)
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def subs(self, beta) -> Fraction:
-        """Evaluate at a numeric/rational B."""
-        return self.a + self.b * beta
-
-    def __str__(self) -> str:
-        return f"{self.a}+{self.b}*B"
-
-
-COEFF_ZERO = Coeff()
-COEFF_ONE = Coeff(Fraction(1))
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def _grlex_key(exps: tuple[int, ...]):
@@ -87,11 +35,11 @@ def _grlex_key(exps: tuple[int, ...]):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over Coeff, fixed number of variables."""
+    """Sparse Laurent polynomial over Fraction, fixed number of variables."""
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Coeff] | None = None):
+    def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
         self.nvars = nvars
         self.terms = {e: c for e, c in (terms or {}).items() if c}
 
@@ -102,14 +50,14 @@ class LaurentPoly:
 
     @staticmethod
     def constant(nvars: int, value) -> "LaurentPoly":
-        c = Coeff.of(value)
+        c = Fraction(value)
         return LaurentPoly(nvars, {(0,) * nvars: c} if c else {})
 
     @staticmethod
     def monomial(nvars: int, exps: Iterable[int], coeff=1) -> "LaurentPoly":
         e = tuple(exps)
         assert len(e) == nvars
-        return LaurentPoly(nvars, {e: Coeff.of(coeff)})
+        return LaurentPoly(nvars, {e: Fraction(coeff)})
 
     @staticmethod
     def variable(nvars: int, j: int, power: int = 1) -> "LaurentPoly":
@@ -126,7 +74,7 @@ class LaurentPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, COEFF_ZERO) + c
+            s = out.get(e, ZERO) + c
             if s:
                 out[e] = s
             else:
@@ -141,11 +89,11 @@ class LaurentPoly:
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
-        out: dict[tuple[int, ...], Coeff] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, COEFF_ZERO) + c1 * c2
+                s = out.get(e, ZERO) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -153,22 +101,10 @@ class LaurentPoly:
         return LaurentPoly(self.nvars, out)
 
     def scale(self, value) -> "LaurentPoly":
-        c0 = Coeff.of(value)
+        c0 = Fraction(value)
         if not c0:
             return LaurentPoly.zero(self.nvars)
         return LaurentPoly(self.nvars, {e: c * c0 for e, c in self.terms.items()})
-
-    def times_b(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: c.times_b() for e, c in self.terms.items()})
-
-    def subs_beta(self, beta) -> "LaurentPoly":
-        """Collapse B-linear coefficients at a rational beta value."""
-        out = {}
-        for e, c in self.terms.items():
-            v = c.subs(Fraction(beta))
-            if v:
-                out[e] = Coeff(v)
-        return LaurentPoly(self.nvars, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -183,8 +119,8 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, exps: Iterable[int]) -> Coeff:
-        return self.terms.get(tuple(exps), COEFF_ZERO)
+    def coeff(self, exps: Iterable[int]) -> Fraction:
+        return self.terms.get(tuple(exps), ZERO)
 
     # -- structure queries --------------------------------------------
     def degree(self) -> int | None:
@@ -211,7 +147,7 @@ class LaurentPoly:
         out = {}
         for e, c in self.terms.items():
             if e[j]:
-                out[e] = c * Coeff.of(e[j])
+                out[e] = c * e[j]
         return LaurentPoly(self.nvars, out)
 
     def invert_vars(self) -> "LaurentPoly":
@@ -224,26 +160,9 @@ class LaurentPoly:
             return self
         return LaurentPoly(self.nvars, {tuple(x + q for x in e): c for e, c in self.terms.items()})
 
-    def eval_at(self, z, beta=None) -> complex:
-        """Numeric evaluation at a vector of complex numbers.
-
-        beta is required when any coefficient carries a B part.
-        """
-        total = 0j
-        for e, c in self.terms.items():
-            if c.b and beta is None:
-                raise ValueError("coefficient depends on B; pass beta")
-            m = 1.0 + 0j
-            for zi, ei in zip(z, e):
-                if ei:
-                    m *= zi**ei
-            val = c.a if not c.b else c.subs(Fraction(beta))
-            total += complex(val) * m
-        return total
-
     # -- serialization ------------------------------------------------
     def canonical(self) -> str:
-        """Stable text form: sorted graded-lex, 'a+b*B' coefficients."""
+        """Stable text form: sorted graded-lex, each coefficient in parentheses."""
         if not self.terms:
             return "0"
         parts = []
@@ -267,27 +186,24 @@ def exact_divide(p: LaurentPoly, a: int, b: int) -> LaurentPoly:
     """
     if a == b:
         raise ValueError("need distinct variable indices")
-    groups: dict[tuple, dict[int, Coeff]] = {}
+    groups: dict[tuple, dict[int, Fraction]] = {}
     for e, c in p.terms.items():
         rest = tuple(x for i, x in enumerate(e) if i not in (a, b))
         key = (rest, e[a] + e[b])
         groups.setdefault(key, {})[e[a]] = c
-    out: dict[tuple[int, ...], Coeff] = {}
+    out: dict[tuple[int, ...], Fraction] = {}
     for (rest, s), coeffs in groups.items():
         lo, hi = min(coeffs), max(coeffs)
-        total = COEFF_ZERO
-        for c in coeffs.values():
-            total = total + c
-        if total:
+        if sum(coeffs.values()):
             rem = _rebuild(p.nvars, a, b, rest, {k: v for k, v in coeffs.items()})
             raise DivisionError("polynomial not divisible by (z_a - z_b)", remainder=rem)
         # synthetic division of sum c_k w^k by (w - 1), descending Horner
-        carry = COEFF_ZERO
+        carry = ZERO
         for k in range(hi, lo, -1):
-            carry = carry + coeffs.get(k, COEFF_ZERO)
+            carry = carry + coeffs.get(k, ZERO)
             if carry:
                 e = _assemble(p.nvars, a, b, rest, k - 1, s - k)
-                out[e] = out.get(e, COEFF_ZERO) + carry
+                out[e] = out.get(e, ZERO) + carry
     return LaurentPoly(p.nvars, out)
 
 
@@ -320,7 +236,7 @@ def elementary_symmetric(k: int, nvars: int) -> LaurentPoly:
         e = [0] * nvars
         for i in subset:
             e[i] = 1
-        terms[tuple(e)] = COEFF_ONE
+        terms[tuple(e)] = ONE
     return LaurentPoly(nvars, terms)
 
 
@@ -330,7 +246,7 @@ def power_sum(k: int, nvars: int) -> LaurentPoly:
     for i in range(nvars):
         e = [0] * nvars
         e[i] = k
-        terms[tuple(e)] = COEFF_ONE
+        terms[tuple(e)] = ONE
     return LaurentPoly(nvars, terms)
 
 
@@ -378,7 +294,7 @@ def monomial_symmetric(partition: tuple[int, ...], nvars: int) -> LaurentPoly:
     counts: dict[int, int] = {}
     for v in padded:
         counts[v] = counts.get(v, 0) + 1
-    terms = {tuple(e): COEFF_ONE for e in _distinct_permutations(counts, nvars)}
+    terms = {tuple(e): ONE for e in _distinct_permutations(counts, nvars)}
     return LaurentPoly(nvars, terms)
 
 
@@ -392,7 +308,7 @@ def cyclic_orbit_sum(rep: tuple[int, ...]) -> LaurentPoly:
     n = len(rep)
     terms = {}
     for i in range(n):
-        terms[rep[i:] + rep[:i]] = COEFF_ONE
+        terms[rep[i:] + rep[:i]] = ONE
     return LaurentPoly(n, terms)
 
 
@@ -417,13 +333,6 @@ class BasisSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of_monomial(self) -> dict[tuple[int, ...], int]:
-        lookup = {}
-        for i, el in enumerate(self.elements):
-            for e in el.terms:
-                lookup[e] = i
-        return lookup
-
 
 def basis(kind: str, nvars: int, degree: int) -> BasisSet:
     """Enumerate the symmetric (partition-indexed) or cyclic-invariant
@@ -443,14 +352,14 @@ def basis(kind: str, nvars: int, degree: int) -> BasisSet:
                     labels=tuple(labels), elements=elements)
 
 
-def project(p: LaurentPoly, basis_set: BasisSet) -> tuple[list[Coeff], LaurentPoly]:
+def project(p: LaurentPoly, basis_set: BasisSet) -> tuple[list[Fraction], LaurentPoly]:
     """Exact coordinates of p in an orbit-sum basis, plus the exact residual.
 
     Because supports are disjoint the coordinate of element i is just the
     coefficient of any of its monomials; the residual collects whatever
     part of p is not a flat orbit sum.
     """
-    coords = [COEFF_ZERO] * len(basis_set)
+    coords = [ZERO] * len(basis_set)
     leftover = dict(p.terms)
     for i, el in enumerate(basis_set.elements):
         rep = next(iter(el.terms))
@@ -458,7 +367,7 @@ def project(p: LaurentPoly, basis_set: BasisSet) -> tuple[list[Coeff], LaurentPo
         if c:
             coords[i] = c
             for e in el.terms:
-                s = leftover.get(e, COEFF_ZERO) - c
+                s = leftover.get(e, ZERO) - c
                 if s:
                     leftover[e] = s
                 else:

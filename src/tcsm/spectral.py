@@ -3,17 +3,20 @@
 The similarity-transformed operator acts on (Laurent) polynomials in
 z_j = exp(2 pi i x_j / L) as
 
-    sum_j D_j^2  +  B * sum_{pairs (a,b)} ((z_a + z_b)/(z_a - z_b)) (D_a - D_b)
+    sum_j D_j^2  +  beta * sum_{pairs (a,b)} ((z_a + z_b)/(z_a - z_b)) (D_a - D_b)
 
 with D_j = z_j d/dz_j and the pair set equal to the interaction pair list.
 The drift numerator is z_a + z_b: the identity is
 cot(pi (x_a - x_b)/L) = i (z_a + z_b)/(z_a - z_b), which the d=1 block
-confirms by reproducing the 1 + 2 r B level.
+confirms by reproducing the 1 + 2 r beta level.
 
 The operator preserves homogeneous degree but, for 1 < r < c, maps fully
 symmetric polynomials only into cyclic-invariant ones, so each degree
-block is a rectangular pencil A v = lambda E v with E the exact embedding
-of the symmetric basis into the cyclic-invariant basis.
+block is a rectangular pencil (A0 + beta A1) v = lambda E v with E the
+exact embedding of the symmetric basis into the cyclic-invariant basis.
+`build_pencil` reads A0, A1 and E off the basis labels in integers;
+`apply_H1` applies the operator through generic Laurent algebra and is the
+reference for the exact eigen, parity and boost checks.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import ModelParams, interaction_pairs
+from .model import ModelParams, ParameterDomainError, closed_form_levels, interaction_pairs
 from .polyalg import (
     CYCLIC,
     SYMMETRIC,
@@ -31,7 +34,6 @@ from .polyalg import (
     LaurentPoly,
     basis,
     exact_divide,
-    project,
 )
 
 CERT_TOL = 1e-10
@@ -39,7 +41,7 @@ SPURIOUS_FLOOR = 1e-4
 
 
 class PencilError(RuntimeError):
-    """Structural failure while building or solving a degree block."""
+    """Structural failure while solving a degree block or certifying an eigenvector."""
 
 
 @dataclass(frozen=True)
@@ -52,14 +54,11 @@ class H1Operator:
         return H1Operator(params=params, drift_pairs=tuple(interaction_pairs(params)))
 
 
-def apply_H1(op: H1Operator, p: LaurentPoly, beta=None) -> LaurentPoly:
-    """Apply the transformed operator exactly.
+def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
+    """Apply the transformed operator exactly, in rationals, at a given beta.
 
-    With beta=None the drift carries the formal parameter B, which
-    requires p to be B-free.  With a rational beta the whole computation
-    is in plain rationals.  Divisibility of (D_a - D_b)p by (z_a - z_b)
-    is checked, not assumed; it fails exactly when p lacks a<->b exchange
-    symmetry.
+    For beta != 0, divisibility of (D_a - D_b)p by (z_a - z_b) is checked,
+    not assumed; it fails exactly when p lacks a<->b exchange symmetry.
     """
     n = op.params.n
     if p.nvars != n:
@@ -68,15 +67,11 @@ def apply_H1(op: H1Operator, p: LaurentPoly, beta=None) -> LaurentPoly:
     for j in range(n):
         out = out + p.apply_D(j).apply_D(j)
     for a, b in op.drift_pairs:
-        moved = p.apply_D(a) - p.apply_D(b)
+        moved = (p.apply_D(a) - p.apply_D(b)).scale(beta)
         if not moved:
             continue
         za_plus_zb = LaurentPoly.variable(n, a) + LaurentPoly.variable(n, b)
-        quotient = exact_divide(za_plus_zb * moved, a, b)
-        if beta is None:
-            out = out + quotient.times_b()
-        else:
-            out = out + quotient.scale(Fraction(beta))
+        out = out + exact_divide(za_plus_zb * moved, a, b)
     return out
 
 
@@ -86,7 +81,7 @@ def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
         raise ValueError("zero polynomial")
     image = apply_H1(op, p, beta=beta)
     exps, coeff = next(iter(p.terms.items()))
-    lam = image.coeff(exps).a / coeff.a
+    lam = image.coeff(exps) / coeff
     if image != p.scale(lam):
         raise PencilError("polynomial is not an exact eigenvector")
     return lam
@@ -94,15 +89,15 @@ def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
 
 @dataclass(frozen=True)
 class PencilBlock:
-    """Exact degree-d block: A = A0 + B*A1 maps symmetric coordinates into
-    the cyclic-invariant basis; E is the embedding."""
+    """Exact degree-d block: A = A0 + beta*A1 maps symmetric coordinates into
+    the cyclic-invariant basis; E is the embedding.  All entries are integers."""
 
     degree: int
     sym_basis: BasisSet
     cyc_basis: BasisSet
-    a0: tuple[tuple[Fraction, ...], ...]
-    a1: tuple[tuple[Fraction, ...], ...]
-    embed: tuple[tuple[Fraction, ...], ...]
+    a0: tuple[tuple[int, ...], ...]
+    a1: tuple[tuple[int, ...], ...]
+    embed: tuple[tuple[int, ...], ...]
 
     @property
     def dim_sym(self) -> int:
@@ -119,30 +114,45 @@ class PencilBlock:
         return a0 + beta_value * a1, e
 
 
+def _partition(exps) -> tuple[int, ...]:
+    return tuple(sorted((e for e in exps if e), reverse=True))
+
+
 def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
-    """Columns of A are exact cyclic-basis coordinates of the operator
-    applied to each symmetric basis element; any projection residual is a
-    bug and raises."""
+    """Degree-d block read off the basis labels, in integers.
+
+    For m > n the drift of pair (a, b) maps z_a^m z_b^n + z_a^n z_b^m to
+    (m - n) times
+        z_a^m z_b^n + 2 sum_{k=1}^{m-n-1} z_a^{m-k} z_b^{n+k} + z_a^n z_b^m.
+    So row rho of A1 gains (m - n) * w for every split m + n = rho_a + rho_b
+    with n <= min(rho_a, rho_b), where w is 1 at the ends of the run
+    (n = min(rho_a, rho_b)) and 2 inside it; the column is the partition of
+    rho with (rho_a, rho_b) replaced by (m, n).  Each symmetric element is a
+    sum of flat cyclic orbit sums, so E[rho][lambda] = 1 where sort(rho) =
+    lambda, and A0 = E * sum_j lambda_j^2.
+    """
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise ParameterDomainError("degree must be >= 1")
     n = op.params.n
     sym = basis(SYMMETRIC, n, degree)
     cyc = basis(CYCLIC, n, degree)
-    a0 = [[Fraction(0)] * len(sym) for _ in range(len(cyc))]
-    a1 = [[Fraction(0)] * len(sym) for _ in range(len(cyc))]
-    emb = [[Fraction(0)] * len(sym) for _ in range(len(cyc))]
-    for col, el in enumerate(sym.elements):
-        image = apply_H1(op, el)
-        coords, residual = project(image, cyc)
-        if residual:
-            raise PencilError("operator image left the cyclic-invariant space")
-        for row, c in enumerate(coords):
-            a0[row][col] = c.a
-            a1[row][col] = c.b
-        ecoords, eres = project(el, cyc)
-        assert not eres
-        for row, c in enumerate(ecoords):
-            emb[row][col] = c.a
+    column = {lam: j for j, lam in enumerate(sym.labels)}
+    a0 = [[0] * len(sym) for _ in range(len(cyc))]
+    a1 = [[0] * len(sym) for _ in range(len(cyc))]
+    emb = [[0] * len(sym) for _ in range(len(cyc))]
+    for row, rho in enumerate(cyc.labels):
+        lam = _partition(rho)
+        emb[row][column[lam]] = 1
+        a0[row][column[lam]] = sum(x * x for x in lam)
+        for a, b in op.drift_pairs:
+            low, total = min(rho[a], rho[b]), rho[a] + rho[b]
+            for lo in range(low + 1):
+                hi = total - lo
+                if hi == lo:
+                    continue
+                source = list(rho)
+                source[a], source[b] = hi, lo
+                a1[row][column[_partition(source)]] += (hi - lo) * (1 if lo == low else 2)
     return PencilBlock(
         degree=degree,
         sym_basis=sym,
@@ -200,7 +210,7 @@ def solve_pencil(block: PencilBlock, beta_value: float, tol: float = CERT_TOL) -
     )
 
 
-def vector_poly(block: PencilBlock, vector, beta=None) -> LaurentPoly:
+def vector_poly(block: PencilBlock, vector) -> LaurentPoly:
     """Assemble a symmetric-coordinate vector into a polynomial.
 
     The vector is rescaled by its largest coordinate, then coordinates are
@@ -218,19 +228,6 @@ def vector_poly(block: PencilBlock, vector, beta=None) -> LaurentPoly:
         if frac:
             out = out + el.scale(frac)
     return out
-
-
-def closed_form_levels(params: ModelParams, beta_value: float) -> dict[str, float]:
-    """The five known reduced levels at a numeric beta."""
-    n = params.n
-    rb = params.drift_weight * beta_value
-    return {
-        "e1": 1.0 + rb,
-        "enm1": (n - 1.0) + rb,
-        "en": float(n),
-        "combo": n + 2.0 * (1.0 + rb),
-        "nondeg_zero": 2.0 + 2.0 * rb,
-    }
 
 
 @dataclass(frozen=True)
@@ -324,7 +321,7 @@ def _proportional(p: LaurentPoly, q: LaurentPoly) -> bool:
     if set(p.terms) != set(q.terms):
         return False
     exps = next(iter(p.terms))
-    ratio = p.terms[exps].a / q.terms[exps].a
+    ratio = p.terms[exps] / q.terms[exps]
     return p == q.scale(ratio)
 
 

@@ -1,6 +1,8 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -9,13 +11,24 @@ from tcsm.cli import main
 
 def run_cli(*argv):
     """Invoke the CLI in-process, capturing stdout and the exit code."""
-    import io
-    from contextlib import redirect_stdout
-
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def assert_usage_error(*argv):
+    """Exit code 2, nothing on stdout and one JSON error line on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert list(error) == ["error"]
+    return error["error"]
 
 
 def test_params_basic():
@@ -93,6 +106,37 @@ def test_verify_excited_boosted():
     data = json.loads(out)
     assert code == 0
     assert data["reduced_mean"] == pytest.approx(13.0, rel=1e-8)
+
+
+def test_verify_excited_near_node():
+    # one sample lies at |phi|/scale = 1.7e-9; it must be rejected as a node
+    # hit, not fail the state on the rounding error of its imaginary part
+    code, out = run_cli(
+        "verify-excited", "--n", "9", "--r", "3", "--state", "combo", "--samples", "5000",
+        "--seed", "1946470073",
+    )
+    data = json.loads(out)
+    assert code == 0, data
+    assert data["verdict"] == "Pass"
+    assert data["node_rejections"] >= 1
+
+
+@pytest.mark.parametrize("flag", ["--length", "--beta"])
+def test_nonfinite_parameter_rejected(flag):
+    assert_usage_error("verify-ground", "--n", "6", "--r", "2", flag, "inf")
+
+
+def test_zero_samples_rejected():
+    message = assert_usage_error("verify-ground", "--n", "6", "--r", "2", "--samples", "0")
+    assert "samples" in message
+
+
+def test_infeasible_min_sep_rejected():
+    assert_usage_error("verify-ground", "--n", "6", "--r", "2", "--min-sep-frac", "0.5")
+
+
+def test_spectrum_degree_zero_rejected():
+    assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "0")
 
 
 def test_spectrum_command():

@@ -47,6 +47,9 @@ def test_coupling_relations():
         dict(n=6, r=0),
         dict(n=6, r=1, length=0.0),
         dict(n=6, r=1, beta=-1.0),
+        dict(n=6, r=1, length=math.inf),
+        dict(n=6, r=1, beta=math.inf),
+        dict(n=6, r=1, beta=math.nan),
     ],
 )
 def test_domain_rejection(bad):

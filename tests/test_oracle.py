@@ -143,9 +143,16 @@ def test_sample_configurations_wrapper():
 
 
 def test_conversion_is_two():
-    # two published derivations of this constant disagree by a factor 2;
-    # the measurement settles it
-    assert conversion_coefficient() == pytest.approx(2.0, rel=1e-10)
+    # two published derivations of this constant disagree by a factor 2; the
+    # oracle measures it from the r=1 e1 level, 1 + 2*beta reduced units
+    # above the ground state
+    p = derive_params(4, 1, beta=1.0)
+    x = sample_positions(p, 64, seed=20260826, min_sep_frac=1e-2)
+    e, nodes = local_energy_batch(p, StateSpec(E1), x)
+    gap = float(e[~nodes].real.mean()) - ground_energy_physical(p)
+    measured = gap * p.length**2 / math.pi**2 / (1.0 + 2.0 * p.beta)
+    assert measured == pytest.approx(2.0, rel=1e-10)
+    assert conversion_coefficient() == 2.0
 
 
 def test_reduced_levels_e1():

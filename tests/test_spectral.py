@@ -4,10 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tcsm.model import derive_params
 from tcsm.oracle import verify_eigenstate
 from tcsm.polyalg import (
+    CYCLIC,
     SYMMETRIC,
     LaurentPoly,
     basis,
@@ -49,7 +52,7 @@ def states(n):
 
 def test_constants_annihilated():
     op = operator(6, 2)
-    assert not apply_H1(op, LaurentPoly.constant(6, 3))
+    assert not apply_H1(op, LaurentPoly.constant(6, 3), ONE)
 
 
 def test_four_levels_exact():
@@ -97,15 +100,43 @@ def test_full_regime_preserves_symmetric_space():
     for d in (1, 2, 3):
         sym = basis(SYMMETRIC, 7, d)
         for el in sym.elements:
-            _, residual = project(apply_H1(op, el), sym)
+            _, residual = project(apply_H1(op, el, ONE), sym)
             assert not residual
 
 
 def test_truncated_image_leaves_symmetric_space():
     op = operator(6, 2)
     sym = basis(SYMMETRIC, 6, 2)
-    residuals = [project(apply_H1(op, el), sym)[1] for el in sym.elements]
+    residuals = [project(apply_H1(op, el, ONE), sym)[1] for el in sym.elements]
     assert any(residuals)
+
+
+def _generic_block(op, degree):
+    """(A0, A1, E) from the generic Laurent algebra: cyclic-basis coordinates
+    of apply_H1 at beta = 0 (A0) and beta = 1 (A0 + A1), and of the element."""
+    sym = basis(SYMMETRIC, op.params.n, degree)
+    cyc = basis(CYCLIC, op.params.n, degree)
+    a0, a1, emb = [], [], []
+    for el in sym.elements:
+        at0, res0 = project(apply_H1(op, el, 0), cyc)
+        at1, res1 = project(apply_H1(op, el, ONE), cyc)
+        coords, res_e = project(el, cyc)
+        assert not (res0 or res1 or res_e)
+        a0.append(at0)
+        a1.append([y - x for x, y in zip(at0, at1)])
+        emb.append(coords)
+    return tuple(zip(*a0)), tuple(zip(*a1)), tuple(zip(*emb))
+
+
+@given(st.integers(4, 7), st.integers(1, 3), st.integers(1, 5))
+@example(6, 3, 4)  # full regime, antipodal pairs counted once
+@example(7, 2, 5)  # truncated regime
+@example(8, 3, 7)
+@settings(max_examples=20, deadline=None)
+def test_pencil_matches_generic_algebra(n, r, degree):
+    op = operator(n, r)
+    block = build_pencil(op, degree)
+    assert (block.a0, block.a1, block.embed) == _generic_block(op, degree)
 
 
 def test_pencil_d1():
@@ -235,6 +266,6 @@ def test_degree_preserved():
     op = operator(6, 2)
     for d in (1, 2, 3, 4):
         for el in basis(SYMMETRIC, 6, d).elements:
-            image = apply_H1(op, el)
+            image = apply_H1(op, el, ONE)
             if image:
                 assert image.degree() == d
