@@ -63,6 +63,17 @@ STATE_NAMES = {
 PASSING = {"Pass", "match", "NoPrediction"}
 
 
+class UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage text and exit 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _common(parser, spectrum=False):
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--r", type=int, required=True)
@@ -85,7 +96,7 @@ def _output(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tcsm",
         description="Verification and spectral analysis for the truncated "
         "inverse-square model on a circle.",
@@ -289,14 +300,12 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         result = HANDLERS[args.command](args)
-    except (ParameterDomainError, SamplingError) as exc:
+    except SystemExit as exc:  # --help and --version
+        return exc.code or 0
+    except (UsageError, ParameterDomainError, SamplingError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     result["command"] = args.command

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,6 +73,30 @@ class ModelParams:
             return self.n - 1
         return 2 * self.r_eff
 
+    @cached_property
+    def geometry(self) -> "Geometry":
+        """Pair and triple index arrays, enumerated on first use.
+
+        Cached on this instance, not by value: two equal ModelParams each
+        enumerate their own.
+        """
+        pairs = np.array(interaction_pairs(self), dtype=np.intp).reshape(-1, 2)
+        triples = np.array(three_body_triples(self), dtype=np.intp).reshape(-1, 3)
+        return Geometry(pairs=pairs, triples=triples)
+
+
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """The interaction graph as index arrays, for the vectorized evaluators.
+
+    ``pairs`` has shape (P, 2) in the order of `interaction_pairs`;
+    ``triples`` has shape (T, 3), rows (i, j, k) with center j, in the order
+    of `three_body_triples`.
+    """
+
+    pairs: np.ndarray
+    triples: np.ndarray
+
 
 def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> ModelParams:
     """Validate raw inputs and populate every derived field."""
@@ -122,27 +148,26 @@ def interaction_pairs(params: ModelParams) -> list[tuple[int, int]]:
 
 
 def three_body_triples(params: ModelParams) -> list[tuple[int, int, int]]:
-    """Center-designated triples (i, j, k): j within range of both i and k,
-    while i and k are out of range of each other.
+    """Center-designated triples (i, j, k), i < k: j within range of both i
+    and k, while i and k are out of range of each other.
 
-    The center is unique: a second valid center would force the same pair
-    to be both within and beyond range.  Empty in the full regime.
+    Enumerated center first in O(N r^2): the ends are j - s and j + t with
+    1 <= s, t <= r_eff, out of range of each other when both s + t and
+    N - s - t exceed r_eff.  The center is unique: a second valid center
+    would force the same pair to be both within and beyond range.  Sorted by
+    (j, i, k).  Empty in the full regime.
     """
     n, r_eff = params.n, params.r_eff
+    offsets = [
+        (s, t)
+        for s in range(1, r_eff + 1)
+        for t in range(1, r_eff + 1)
+        if s + t > r_eff and n - s - t > r_eff
+    ]
     triples = []
-    for a, b, c3 in combinations(range(n), 3):
-        center = None
-        for j, i, kk in ((a, b, c3), (b, a, c3), (c3, a, b)):
-            if (
-                cyclic_distance(i, j, n) <= r_eff
-                and cyclic_distance(j, kk, n) <= r_eff
-                and cyclic_distance(kk, i, n) > r_eff
-            ):
-                assert center is None, "triple admits two centers"
-                center = (min(i, kk), j, max(i, kk))
-        if center is not None:
-            triples.append(center)
-    triples.sort(key=lambda t: (t[1], t[0], t[2]))
+    for j in range(n):
+        ends = sorted(tuple(sorted(((j - s) % n, (j + t) % n))) for s, t in offsets)
+        triples.extend((i, j, k) for i, k in ends)
     return triples
 
 

@@ -17,8 +17,6 @@ from .model import (
     ParameterDomainError,
     closed_form_levels,
     ground_energy_physical,
-    interaction_pairs,
-    three_body_triples,
 )
 from .wavefunction import (
     BOOSTED,
@@ -38,30 +36,43 @@ from .wavefunction import (
     phi_eval_batch,
 )
 
-MAX_SAMPLE_ATTEMPTS = 10**6
 IMAG_RATIO_TOL = 1e-9
+# The sampler draws exactly from the constrained set, so a row falls below the
+# floor only by rounding, which is rare unless L - N floor is itself at the
+# rounding level; then the redraws keep failing, and this bound turns the hang
+# into a SamplingError.
+REDRAW_ROUNDS = 8
 
 
 class SamplingError(RuntimeError):
-    """Rejection sampling could not produce the requested configurations."""
+    """Configurations with the requested separation floor cannot be drawn."""
 
 
 def potential_energy(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Two-body 1/sin^2 plus three-body -cot*cot potential, batched over (..., N)."""
+    """Two-body 1/sin^2 plus three-body -cot*cot potential, batched over (..., N).
+
+    Pairs and triples are taken N at a time, so no temporary grows with their
+    count (about N r and N r^2 / 2); sites go first so that each gather copies
+    rows.
+    """
     L = params.length
     w = (math.pi / L) ** 2
-    theta_fn = lambda xa, xb: math.pi * (xa - xb) / L  # noqa: E731  (cot, csc^2 are pi-periodic)
-    pairs = interaction_pairs(params)
+    xt = np.moveaxis(x, -1, 0).copy()
+    theta = lambda a, b: math.pi * (xt[a] - xt[b]) / L  # noqa: E731  (cot, csc^2 are pi-periodic)
+    geo = params.geometry
     v = np.zeros(x.shape[:-1], dtype=float)
     if params.g:
-        for a, b in pairs:
-            s = np.sin(theta_fn(x[..., a], x[..., b]))
-            v += params.g * w / (s * s)
-    for i, j, k in three_body_triples(params):
-        t1 = theta_fn(x[..., i], x[..., j])
-        t2 = theta_fn(x[..., j], x[..., k])
-        v -= params.big_g * w / (np.tan(t1) * np.tan(t2))
+        for a, b in _blocks(geo.pairs, params.n):
+            s = np.sin(theta(a, b))
+            v += params.g * w * (1.0 / (s * s)).sum(axis=0)
+    for i, j, k in _blocks(geo.triples, params.n):
+        v -= params.big_g * w * (1.0 / (np.tan(theta(i, j)) * np.tan(theta(j, k)))).sum(axis=0)
     return v
+
+
+def _blocks(rows: np.ndarray, size: int):
+    """The columns of each run of `size` consecutive rows."""
+    return (rows[lo : lo + size].T for lo in range(0, len(rows), size))
 
 
 def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
@@ -89,33 +100,39 @@ def sample_positions(
     seed: int,
     min_sep_frac: float = 1e-3,
 ) -> np.ndarray:
-    """i.i.d. uniform positions, rejection-resampled to a min-separation floor.
+    """Uniform positions on {x in [0, L)^N : min cyclic separation >= floor}.
 
-    Deterministic given the seed.  Shape (count, N).
+    floor = min_sep_frac * L.  Drawn exactly, with no rejection: the cyclic
+    spacings are floor + (L - N floor) * Dirichlet(1, ..., 1), the first
+    point sits at a uniform rotation and a uniform permutation labels the
+    points.  Every row is still checked against the floor; a row that fails
+    only by rounding is drawn again.  Deterministic given the seed.  Shape
+    (count, N).
     """
     if count < 1:
         raise ParameterDomainError("count must be >= 1")
-    if not 0.0 < min_sep_frac < 1.0 / params.n:
+    n, length = params.n, params.length
+    if not 0.0 < min_sep_frac < 1.0 / n:
         raise SamplingError(
-            f"min_sep_frac {min_sep_frac} infeasible for N={params.n} (need 0 < f < 1/N)"
+            f"min_sep_frac {min_sep_frac} infeasible for N={n} (need 0 < f < 1/N)"
         )
     rng = np.random.default_rng(seed)
-    out = []
-    have = 0
-    attempts = 0
-    floor = min_sep_frac * params.length
-    while have < count:
-        batch = max(count - have, 256)
-        attempts += batch
-        if attempts > MAX_SAMPLE_ATTEMPTS:
-            raise SamplingError("sampling exhausted after 10^6 attempts")
-        x = rng.uniform(0.0, params.length, size=(batch, params.n))
-        ok = min_cyclic_separation(x, params.length) >= floor
-        accepted = x[ok]
-        if accepted.size:
-            out.append(accepted[: count - have])
-            have += min(len(accepted), count - have)
-    return np.concatenate(out, axis=0)
+    floor = min_sep_frac * length
+    out = np.empty((0, n))
+    for _ in range(REDRAW_ROUNDS):
+        need = count - len(out)
+        gaps = rng.exponential(size=(need, n))
+        spacing = floor + (length - n * floor) * (gaps / gaps.sum(axis=-1, keepdims=True))
+        start = rng.uniform(0.0, length, size=(need, 1))
+        x = np.concatenate([start, start + np.cumsum(spacing[:, :-1], axis=-1)], axis=-1) % length
+        x = rng.permuted(x, axis=-1)
+        out = np.concatenate([out, x[min_cyclic_separation(x, length) >= floor]])
+        if len(out) == count:
+            return out
+    raise SamplingError(
+        f"min_sep_frac {min_sep_frac} leaves no room above the floor at N={n}: "
+        "rows keep falling below it by rounding"
+    )
 
 
 def sample_configurations(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, interaction_pairs
+from .model import ModelParams
 
 SEPARATION_FLOOR = 1e-300
 # The imaginary part of the local energy is pure rounding error, and near a
@@ -94,19 +94,19 @@ class Configuration:
 
 
 def min_cyclic_separation(x: np.ndarray, length: float) -> np.ndarray:
-    """Minimum pairwise cyclic separation, broadcasting over leading axes."""
-    diff = np.abs(x[..., :, None] - x[..., None, :])
-    diff = np.minimum(diff, length - diff)
-    n = x.shape[-1]
-    diff = diff + np.diag(np.full(n, length))
-    return diff.min(axis=(-2, -1))
+    """Minimum pairwise cyclic separation, broadcasting over leading axes.
+
+    O(N log N) per row: the closest pair is adjacent once the row is sorted,
+    or it is the pair (first, last) across the wrap.
+    """
+    s = np.sort(x, axis=-1)
+    wrap = length - (s[..., -1] - s[..., 0])
+    return np.minimum(np.diff(s, axis=-1).min(axis=-1, initial=length), wrap)
 
 
 def _pair_arrays(params: ModelParams):
-    pairs = interaction_pairs(params)
-    a = np.array([p[0] for p in pairs])
-    b = np.array([p[1] for p in pairs])
-    return a, b
+    pairs = params.geometry.pairs
+    return pairs[:, 0], pairs[:, 1]
 
 
 def _pair_thetas(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -109,16 +109,39 @@ def test_verify_excited_boosted():
 
 
 def test_verify_excited_near_node():
-    # one sample lies at |phi|/scale = 1.7e-9; it must be rejected as a node
+    # one sample lies at |phi|/scale = 3.9e-9; it must be rejected as a node
     # hit, not fail the state on the rounding error of its imaginary part
+    # (with a node threshold of 1e-10 this seed fails, imag_ratio 1.5e-9)
     code, out = run_cli(
         "verify-excited", "--n", "9", "--r", "3", "--state", "combo", "--samples", "5000",
-        "--seed", "1946470073",
+        "--seed", "1119",
     )
     data = json.loads(out)
     assert code == 0, data
     assert data["verdict"] == "Pass"
     assert data["node_rejections"] >= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("params", "--n", "abc", "--r", "2"),
+        ("params", "--n", "6"),
+        ("params", "--n", "6", "--r", "2", "--bogus"),
+        ("no-such-command",),
+        (),
+    ],
+)
+def test_unparsable_command_line_rejected(argv):
+    assert "tcsm" in assert_usage_error(*argv)
+
+
+def test_help_and_version_exit_zero():
+    for argv in (["--version"], ["--help"], ["params", "--help"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == 0
+        assert out.getvalue() and err.getvalue() == ""
 
 
 @pytest.mark.parametrize("flag", ["--length", "--beta"])

@@ -1,8 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from tcsm import model
+from tcsm.dual_paths import dual_grad_and_second_log_psi0
 from tcsm.model import (
     FULL,
     TRUNCATED,
@@ -16,6 +19,8 @@ from tcsm.model import (
     three_body_triples,
     triple_count_formula,
 )
+from tcsm.oracle import potential_energy, sample_positions
+from tcsm.wavefunction import grad_log_psi0
 
 
 def test_derive_params_examples():
@@ -85,6 +90,52 @@ def test_triples_examples():
     for i, j, k in triples:
         assert cyclic_distance(i, j, 6) == 1 and cyclic_distance(j, k, 6) == 1
     assert three_body_triples(derive_params(7, 3)) == []
+
+
+def combinations_triples(params):
+    """The O(N^3) enumeration over all unordered site triples, kept as the
+    reference for the center-first `three_body_triples`."""
+    n, r_eff = params.n, params.r_eff
+    near = [[cyclic_distance(a, b, n) <= r_eff for b in range(n)] for a in range(n)]
+    triples = []
+    for a, b, c3 in combinations(range(n), 3):
+        center = None
+        for j, i, kk in ((a, b, c3), (b, a, c3), (c3, a, b)):
+            if near[i][j] and near[j][kk] and not near[kk][i]:
+                assert center is None, "triple admits two centers"
+                center = (min(i, kk), j, max(i, kk))
+        if center is not None:
+            triples.append(center)
+    triples.sort(key=lambda t: (t[1], t[0], t[2]))
+    return triples
+
+
+def test_triples_match_combinations_enumeration():
+    for n in range(3, 41):
+        for r in range(1, n // 2 + 2):
+            p = derive_params(n, r)
+            assert three_body_triples(p) == combinations_triples(p), (n, r)
+
+
+def test_geometry_enumerated_once_per_instance(monkeypatch):
+    calls = []
+    real = model.three_body_triples
+    monkeypatch.setattr(model, "three_body_triples", lambda p: calls.append(p) or real(p))
+    p = derive_params(9, 3)
+    geo = p.geometry
+    assert p.geometry is geo and len(calls) == 1
+    # the evaluators share the cached arrays
+    x = sample_positions(p, 4, seed=1)
+    potential_energy(p, x)
+    grad_log_psi0(p, x)
+    dual_grad_and_second_log_psi0(p, x)
+    assert len(calls) == 1
+    assert geo.pairs.tolist() == [list(ab) for ab in interaction_pairs(p)]
+    assert geo.triples.tolist() == [list(t) for t in real(p)]
+    # cached by instance, not by value
+    q = derive_params(9, 3)
+    assert q == p and q.geometry is not geo and len(calls) == 2
+    assert derive_params(7, 3).geometry.triples.shape == (0, 3)
 
 
 def test_triple_formula_examples():

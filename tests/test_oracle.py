@@ -37,6 +37,7 @@ from tcsm.wavefunction import (
     Configuration,
     NodeProximityError,
     StateSpec,
+    min_cyclic_separation,
 )
 
 L = 2.0 * math.pi
@@ -112,11 +113,65 @@ def test_ground_local_energy_constants():
         assert abs(e.imag).max() == 0.0
 
 
+def test_potential_matches_reference_over_sizes():
+    for n, r, beta in [(5, 1, 0.5), (8, 3, 1.5), (9, 2, 2.5), (12, 4, 3.0), (13, 4, 1.0)]:
+        p = derive_params(n, r, beta=beta)
+        x = sample_positions(p, 20, seed=n)
+        want = np.array([reference_potential(p, row) for row in x])
+        np.testing.assert_allclose(potential_energy(p, x), want, rtol=1e-13)
+        np.testing.assert_allclose(potential_energy(p, x[0]), want[0], rtol=1e-13)
+
+
 def test_sampling_determinism():
     p = derive_params(6, 2)
     a = sample_positions(p, 1000, seed=42)
     b = sample_positions(p, 1000, seed=42)
     np.testing.assert_array_equal(a, b)
+    assert not np.array_equal(a, sample_positions(p, 1000, seed=43))
+
+
+@pytest.mark.parametrize("n,r,frac", [(3, 1, 0.3), (6, 2, 1e-3), (64, 8, 1e-3), (256, 16, 1e-3)])
+def test_sampled_rows_lie_in_the_constrained_set(n, r, frac):
+    p = derive_params(n, r, length=3.0)
+    x = sample_positions(p, 400, seed=9, min_sep_frac=frac)
+    assert x.shape == (400, n)
+    assert ((0.0 <= x) & (x < p.length)).all()
+    assert (min_cyclic_separation(x, p.length) >= frac * p.length).all()
+
+
+def ks_statistic(samples, cdf):
+    """Kolmogorov-Smirnov distance between the samples and a continuous CDF."""
+    u = cdf(np.sort(samples))
+    k = np.arange(1, len(u) + 1) / len(u)
+    return max((k - u).max(), (u - (k - 1.0 / len(u))).max())
+
+
+@pytest.mark.parametrize("n,frac,seed", [(3, 0.2, 1), (8, 1e-3, 2), (40, 0.02, 3)])
+def test_sampled_marginals_match_the_uniform_law(n, frac, seed):
+    # under the uniform law on {min separation >= floor} each coordinate is
+    # Uniform(0, L), the gap after a labelled point, less the floor and
+    # scaled by the slack L - N floor, is Beta(1, N - 1), and the next point
+    # ahead of label 0 is any other label with probability 1 / (N - 1)
+    p = derive_params(n, 1, length=2.0)
+    count = 4000
+    x = sample_positions(p, count, seed=seed, min_sep_frac=frac)
+    floor, slack = frac * p.length, p.length - n * frac * p.length
+    ahead = (x[:, 1:] - x[:, :1]) % p.length
+    gap = (ahead.min(axis=1) - floor) / slack
+    critical = 1.95 / math.sqrt(count)  # 0.1% level
+    assert ks_statistic(x[:, 1], lambda v: v / p.length) < critical
+    assert ks_statistic(gap, lambda u: 1.0 - (1.0 - u) ** (n - 1)) < critical
+    share = (ahead.argmin(axis=1) == 0).mean()
+    q = 1.0 / (n - 1)
+    assert abs(share - q) < 5.0 * math.sqrt(q * (1.0 - q) / count)
+
+
+def test_sampling_near_infeasible_floor_raises():
+    # L - N floor at the rounding level: rows keep rounding below the floor,
+    # and the sampler must give up rather than redraw forever
+    p = derive_params(10, 2, length=1.0)
+    with pytest.raises(SamplingError):
+        sample_positions(p, 10, seed=1, min_sep_frac=np.nextafter(0.1, 0.0))
 
 
 def test_sampling_infeasible_min_sep():

@@ -25,6 +25,7 @@ from tcsm.wavefunction import (
     grad_log_psi0,
     laplacian_ratio_psi0,
     log_psi0,
+    min_cyclic_separation,
     phi_eval,
     phi_eval_batch,
 )
@@ -204,6 +205,26 @@ def test_dual_log_psi0_cross_check():
         ld = (gd * gd).sum(axis=-1) + sd.sum(axis=-1)
         assert np.abs(ga - gd).max() / (np.abs(ga).max() + 1.0) < 1e-12
         assert np.abs(la - ld).max() / (np.abs(la).max() + 1.0) < 1e-12
+
+
+def pairwise_min_separation(x, length):
+    """The N x N minimum over all pairs, kept as the reference for the
+    sort-based `min_cyclic_separation`."""
+    diff = np.abs(x[..., :, None] - x[..., None, :])
+    diff = np.minimum(diff, length - diff)
+    diff = diff + np.diag(np.full(x.shape[-1], length))
+    return diff.min(axis=(-2, -1))
+
+
+def test_min_separation_matches_pairwise_reference():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3, 9, 64):
+        batched = rng.uniform(0.0, L, size=(3, 5, n))
+        # the closest pair straddles the wrap: points near 0 and near L
+        wrapped = np.concatenate([rng.uniform(0.0, 0.01, (40, n - n // 2)),
+                                  rng.uniform(L - 0.01, L, (40, n // 2))], axis=-1)
+        for x in (batched, wrapped, rng.permuted(wrapped, axis=-1), batched[0, 0]):
+            np.testing.assert_array_equal(min_cyclic_separation(x, L), pairwise_min_separation(x, L))
 
 
 def test_configuration_min_sep():
