@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .dual import Dual2, dexp, dlog, dsin
-from .model import ModelParams
+from .model import ModelParams, interaction_pairs
 from .wavefunction import (
     BOOSTED,
     COMBO,
@@ -38,7 +38,7 @@ def dual_grad_and_second_log_psi0(params: ModelParams, x: np.ndarray):
     """(d/dx_m log psi0, d^2/dx_m^2 log psi0), each shape (..., N)."""
     n = params.n
     by_site: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in params.geometry.pairs.tolist():
+    for a, b in interaction_pairs(params):
         by_site[a].append((a, b))
         by_site[b].append((a, b))
     grad = np.zeros(x.shape, dtype=float)

@@ -11,9 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-
-import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,30 +70,6 @@ class ModelParams:
             return self.n - 1
         return 2 * self.r_eff
 
-    @cached_property
-    def geometry(self) -> "Geometry":
-        """Pair and triple index arrays, enumerated on first use.
-
-        Cached on this instance, not by value: two equal ModelParams each
-        enumerate their own.
-        """
-        pairs = np.array(interaction_pairs(self), dtype=np.intp).reshape(-1, 2)
-        triples = np.array(three_body_triples(self), dtype=np.intp).reshape(-1, 3)
-        return Geometry(pairs=pairs, triples=triples)
-
-
-@dataclass(frozen=True, eq=False)
-class Geometry:
-    """The interaction graph as index arrays, for the vectorized evaluators.
-
-    ``pairs`` has shape (P, 2) in the order of `interaction_pairs`;
-    ``triples`` has shape (T, 3), rows (i, j, k) with center j, in the order
-    of `three_body_triples`.
-    """
-
-    pairs: np.ndarray
-    triples: np.ndarray
-
 
 def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> ModelParams:
     """Validate raw inputs and populate every derived field."""
@@ -147,23 +120,32 @@ def interaction_pairs(params: ModelParams) -> list[tuple[int, int]]:
     return sorted(seen)
 
 
+def triple_offsets(params: ModelParams) -> list[tuple[int, int]]:
+    """End offsets (s, t) of the three-body terms: center j, ends j - s and j + t.
+
+    1 <= s, t <= r_eff puts both ends within range of the center; the ends
+    are out of range of each other when both s + t and N - s - t exceed
+    r_eff.  Sorted by (s, t).  Empty in the full regime.
+    """
+    r_eff = params.r_eff
+    return [
+        (s, t)
+        for s in range(1, r_eff + 1)
+        for t in range(1, r_eff + 1)
+        if s + t > r_eff and params.n - s - t > r_eff
+    ]
+
+
 def three_body_triples(params: ModelParams) -> list[tuple[int, int, int]]:
     """Center-designated triples (i, j, k), i < k: j within range of both i
     and k, while i and k are out of range of each other.
 
-    Enumerated center first in O(N r^2): the ends are j - s and j + t with
-    1 <= s, t <= r_eff, out of range of each other when both s + t and
-    N - s - t exceed r_eff.  The center is unique: a second valid center
-    would force the same pair to be both within and beyond range.  Sorted by
-    (j, i, k).  Empty in the full regime.
+    Enumerated center first from `triple_offsets` in O(N r^2).  The center
+    is unique: a second valid center would force the same pair to be both
+    within and beyond range.  Sorted by (j, i, k).  Empty in the full regime.
     """
-    n, r_eff = params.n, params.r_eff
-    offsets = [
-        (s, t)
-        for s in range(1, r_eff + 1)
-        for t in range(1, r_eff + 1)
-        if s + t > r_eff and n - s - t > r_eff
-    ]
+    n = params.n
+    offsets = triple_offsets(params)
     triples = []
     for j in range(n):
         ends = sorted(tuple(sorted(((j - s) % n, (j + t) % n))) for s, t in offsets)

@@ -17,6 +17,7 @@ from .model import (
     ParameterDomainError,
     closed_form_levels,
     ground_energy_physical,
+    triple_offsets,
 )
 from .wavefunction import (
     BOOSTED,
@@ -33,6 +34,8 @@ from .wavefunction import (
     grad_log_psi0,
     laplacian_ratio_psi0,
     min_cyclic_separation,
+    pair_cot,
+    pair_sum,
     phi_eval_batch,
 )
 
@@ -49,30 +52,18 @@ class SamplingError(RuntimeError):
 
 
 def potential_energy(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Two-body 1/sin^2 plus three-body -cot*cot potential, batched over (..., N).
+    """Two-body csc^2 plus three-body -cot*cot potential, batched over (..., N).
 
-    Pairs and triples are taken N at a time, so no temporary grows with their
-    count (about N r and N r^2 / 2); sites go first so that each gather copies
-    rows.
+    Both sums read the distance rows of `pair_cot`.  The three-body term
+    with center j and ends j - s, j + t is cot_s at site j - s times cot_t
+    at site j.
     """
-    L = params.length
-    w = (math.pi / L) ** 2
-    xt = np.moveaxis(x, -1, 0).copy()
-    theta = lambda a, b: math.pi * (xt[a] - xt[b]) / L  # noqa: E731  (cot, csc^2 are pi-periodic)
-    geo = params.geometry
-    v = np.zeros(x.shape[:-1], dtype=float)
-    if params.g:
-        for a, b in _blocks(geo.pairs, params.n):
-            s = np.sin(theta(a, b))
-            v += params.g * w * (1.0 / (s * s)).sum(axis=0)
-    for i, j, k in _blocks(geo.triples, params.n):
-        v -= params.big_g * w * (1.0 / (np.tan(theta(i, j)) * np.tan(theta(j, k)))).sum(axis=0)
+    cot = pair_cot(params, x)
+    w = (math.pi / params.length) ** 2
+    v = params.g * w * pair_sum(params, 1.0 + cot * cot)
+    for s, t in triple_offsets(params):
+        v -= params.big_g * w * (np.roll(cot[s - 1], s, axis=-1) * cot[t - 1]).sum(axis=-1)
     return v
-
-
-def _blocks(rows: np.ndarray, size: int):
-    """The columns of each run of `size` consecutive rows."""
-    return (rows[lo : lo + size].T for lo in range(0, len(rows), size))
 
 
 def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
@@ -272,6 +263,8 @@ def verify_eigenstate(
     """
     if count < 1:
         raise ParameterDomainError(f"need samples >= 1, got {count}")
+    if not 0 < tol < math.inf:
+        raise ParameterDomainError(f"need finite tol > 0, got {tol!r}")
     energies = np.empty(0, dtype=complex)
     node_rejections = 0
     round_ = 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -321,17 +322,24 @@ class BasisSet:
     """Orbit-sum basis of homogeneous degree-d polynomials.
 
     Elements have pairwise disjoint monomial support (each monomial lies in
-    exactly one orbit), so exact projection is coefficient lookup.
+    exactly one orbit), so exact projection is coefficient lookup.  The
+    labels are enumerated up front; the element polynomials are built on
+    first use, since the pencil reads only the labels.
     """
 
     kind: str
     nvars: int
     degree: int
     labels: tuple[tuple[int, ...], ...]
-    elements: tuple[LaurentPoly, ...]
+
+    @cached_property
+    def elements(self) -> tuple[LaurentPoly, ...]:
+        if self.kind == SYMMETRIC:
+            return tuple(monomial_symmetric(lam, self.nvars) for lam in self.labels)
+        return tuple(cyclic_orbit_sum(rep) for rep in self.labels)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.labels)
 
 
 def basis(kind: str, nvars: int, degree: int) -> BasisSet:
@@ -341,15 +349,12 @@ def basis(kind: str, nvars: int, degree: int) -> BasisSet:
         raise ValueError("degree must be >= 0")
     if kind == SYMMETRIC:
         labels = sorted(partitions(degree, nvars), reverse=True)
-        elements = tuple(monomial_symmetric(lam, nvars) for lam in labels)
     elif kind == CYCLIC:
-        reps = sorted({cyclic_representative(c) for c in compositions(degree, nvars)}, reverse=True)
-        labels = tuple(reps)
-        elements = tuple(cyclic_orbit_sum(rep) for rep in reps)
+        labels = sorted({cyclic_representative(c) for c in compositions(degree, nvars)},
+                        reverse=True)
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
-    return BasisSet(kind=kind, nvars=nvars, degree=degree,
-                    labels=tuple(labels), elements=elements)
+    return BasisSet(kind=kind, nvars=nvars, degree=degree, labels=tuple(labels))
 
 
 def project(p: LaurentPoly, basis_set: BasisSet) -> tuple[list[Fraction], LaurentPoly]:

@@ -185,6 +185,8 @@ class PencilSolution:
 def solve_pencil(block: PencilBlock, beta_value: float, tol: float = CERT_TOL) -> PencilSolution:
     """Candidate pairs from the least-squares square operator E^+ A; each is
     certified by its true full-space residual ||Av - lambda Ev|| / ||Ev||."""
+    if not 0 < tol < SPURIOUS_FLOOR:
+        raise ParameterDomainError(f"need 0 < tol < {SPURIOUS_FLOOR}, got {tol!r}")
     a, e = block.numeric(beta_value)
     svals = np.linalg.svd(e, compute_uv=False)
     if svals[-1] / svals[0] < 1e-10:

@@ -1,9 +1,10 @@
 """Ground-state amplitude and symmetric excitation factors.
 
 All evaluation is log-domain and vectorized: position arrays have shape
-(..., N) and every function broadcasts over the leading axes.  Two
-independent differentiation paths exist for every quantity: the analytic
-formulas here and the second-order dual-number path in `dual_paths`.
+(..., N) and every function broadcasts over the leading axes; pair sums
+run over one row per cyclic distance (`pair_cot`).  Two independent
+differentiation paths exist for every quantity: the analytic formulas here
+and the second-order dual-number path in `dual_paths`.
 """
 
 from __future__ import annotations
@@ -104,52 +105,62 @@ def min_cyclic_separation(x: np.ndarray, length: float) -> np.ndarray:
     return np.minimum(np.diff(s, axis=-1).min(axis=-1, initial=length), wrap)
 
 
-def _pair_arrays(params: ModelParams):
-    pairs = params.geometry.pairs
-    return pairs[:, 0], pairs[:, 1]
+def pair_cot(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """cot(pi (x_j - x_{j+d}) / L) for the distance rows d = 1..r_eff, shape (r_eff, ..., N).
+
+    Row d at site j is the interacting pair (j, j + d mod N).  The angles
+    come from raw differences: cot is pi-periodic, so no wrap is needed and
+    none costs precision.  Raises SeparationError when a pair coincides
+    modulo L, including two positions a whole period apart.
+    """
+    cot = np.empty((params.r_eff,) + x.shape)
+    for d in range(1, params.r_eff + 1):
+        turns = (x - np.roll(x, -d, axis=-1)) / params.length
+        if np.any(np.abs(turns - np.rint(turns)) < SEPARATION_FLOOR):
+            raise SeparationError(f"coincident pair at distance {d}")
+        cot[d - 1] = 1.0 / np.tan(math.pi * turns)
+    return cot
 
 
-def _pair_thetas(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    a, b = _pair_arrays(params)
-    return math.pi * ((x[..., a] - x[..., b]) % params.length) / params.length
+def _row_weights(params: ModelParams) -> np.ndarray:
+    """Weight of each distance row in a sum over pairs: the antipodal row
+    (2d = N) holds every pair twice, so it counts half."""
+    return np.where(2 * np.arange(1, params.r_eff + 1) == params.n, 0.5, 1.0)
+
+
+def pair_sum(params: ModelParams, rows: np.ndarray) -> np.ndarray:
+    """Sum over interacting pairs of a per-pair quantity held as distance
+    rows of shape (r_eff, ..., N); shape (...)."""
+    return np.tensordot(_row_weights(params), rows.sum(axis=-1), axes=1)
 
 
 def log_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """log |psi0| = beta * sum over pairs of log sin(theta_ab), theta in (0, pi).
+    """log |psi0| = beta * sum over pairs of log |sin theta_ab|, from |sin| = 1 / hypot(1, cot).
 
     Normalization is fixed to 1.
     """
-    s = np.sin(_pair_thetas(params, x))
-    if np.any(s < SEPARATION_FLOOR):
-        raise SeparationError("pair separation underflow in log_psi0")
-    return params.beta * np.log(s).sum(axis=-1)
+    return -params.beta * pair_sum(params, np.log(np.hypot(1.0, pair_cot(params, x))))
+
+
+def _grad_log_psi0(params: ModelParams, cot: np.ndarray) -> np.ndarray:
+    """Each pair (j, j + d) adds beta (pi/L) cot to site j and subtracts it at j + d."""
+    w = _row_weights(params)
+    grad = sum(w[d - 1] * (c - np.roll(c, d, axis=-1)) for d, c in enumerate(cot, 1))
+    return params.beta * math.pi / params.length * grad
 
 
 def grad_log_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Gradient of log psi0, shape (..., N); components sum to zero."""
-    a, b = _pair_arrays(params)
-    theta = _pair_thetas(params, x)
-    s = np.sin(theta)
-    if np.any(s < SEPARATION_FLOOR):
-        raise SeparationError("pair separation underflow in grad_log_psi0")
-    cot = np.cos(theta) / s
-    coef = params.beta * math.pi / params.length
-    grad = np.zeros(x.shape, dtype=float)
-    np.add.at(grad.reshape(-1, x.shape[-1]), (slice(None), a), (coef * cot).reshape(-1, len(a)))
-    np.add.at(grad.reshape(-1, x.shape[-1]), (slice(None), b), (-coef * cot).reshape(-1, len(a)))
-    return grad
+    return _grad_log_psi0(params, pair_cot(params, x))
 
 
 def laplacian_ratio_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Delta psi0 / psi0 = sum_m (g_m^2 + h_m), h from the csc^2 second derivatives."""
-    theta = _pair_thetas(params, x)
-    s = np.sin(theta)
-    if np.any(s < SEPARATION_FLOOR):
-        raise SeparationError("pair separation underflow in laplacian_ratio_psi0")
-    g = grad_log_psi0(params, x)
-    h_pairs = -params.beta * (math.pi / params.length) ** 2 / (s * s)
-    # every pair contributes its csc^2 term to both endpoints
-    return (g * g).sum(axis=-1) + 2.0 * h_pairs.sum(axis=-1)
+    cot = pair_cot(params, x)
+    g = _grad_log_psi0(params, cot)
+    # every pair contributes its csc^2 = 1 + cot^2 term to both endpoints
+    csc2 = pair_sum(params, 1.0 + cot * cot)
+    return (g * g).sum(axis=-1) - 2.0 * params.beta * (math.pi / params.length) ** 2 * csc2
 
 
 def _z(params: ModelParams, x: np.ndarray) -> np.ndarray:

@@ -162,6 +162,22 @@ def test_spectrum_degree_zero_rejected():
     assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "0")
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+def test_bad_oracle_tol_rejected(tol):
+    message = assert_usage_error("verify-ground", "--n", "6", "--r", "2", "--samples", "50",
+                                 "--tol", tol)
+    assert "tol" in message
+
+
+# tol must stay below the spurious floor, 1e-4: an infinite tol certified
+# every spurious pair
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1e-4"])
+def test_bad_spectrum_tol_rejected(tol):
+    message = assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "4",
+                                 "--tol", tol)
+    assert "tol" in message
+
+
 def test_spectrum_command():
     code, out = run_cli("spectrum", "--n", "6", "--r", "2", "--degree", "1")
     data = json.loads(out)

@@ -4,8 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from tcsm import model
-from tcsm.dual_paths import dual_grad_and_second_log_psi0
 from tcsm.model import (
     FULL,
     TRUNCATED,
@@ -19,8 +17,6 @@ from tcsm.model import (
     three_body_triples,
     triple_count_formula,
 )
-from tcsm.oracle import potential_energy, sample_positions
-from tcsm.wavefunction import grad_log_psi0
 
 
 def test_derive_params_examples():
@@ -115,27 +111,6 @@ def test_triples_match_combinations_enumeration():
         for r in range(1, n // 2 + 2):
             p = derive_params(n, r)
             assert three_body_triples(p) == combinations_triples(p), (n, r)
-
-
-def test_geometry_enumerated_once_per_instance(monkeypatch):
-    calls = []
-    real = model.three_body_triples
-    monkeypatch.setattr(model, "three_body_triples", lambda p: calls.append(p) or real(p))
-    p = derive_params(9, 3)
-    geo = p.geometry
-    assert p.geometry is geo and len(calls) == 1
-    # the evaluators share the cached arrays
-    x = sample_positions(p, 4, seed=1)
-    potential_energy(p, x)
-    grad_log_psi0(p, x)
-    dual_grad_and_second_log_psi0(p, x)
-    assert len(calls) == 1
-    assert geo.pairs.tolist() == [list(ab) for ab in interaction_pairs(p)]
-    assert geo.triples.tolist() == [list(t) for t in real(p)]
-    # cached by instance, not by value
-    q = derive_params(9, 3)
-    assert q == p and q.geometry is not geo and len(calls) == 2
-    assert derive_params(7, 3).geometry.triples.shape == (0, 3)
 
 
 def test_triple_formula_examples():

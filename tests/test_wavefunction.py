@@ -7,8 +7,8 @@ from tcsm.dual_paths import (
     dual_grad_and_second_log_psi0,
     dual_phi_eval,
 )
-from tcsm.model import derive_params
-from tcsm.oracle import sample_positions
+from tcsm.model import derive_params, interaction_pairs, three_body_triples
+from tcsm.oracle import potential_energy, sample_positions
 from tcsm.wavefunction import (
     COMBO,
     COS_SUM,
@@ -21,6 +21,7 @@ from tcsm.wavefunction import (
     BOOSTED,
     Configuration,
     NodeProximityError,
+    SeparationError,
     StateSpec,
     grad_log_psi0,
     laplacian_ratio_psi0,
@@ -126,6 +127,60 @@ def test_laplacian_scaling():
     np.testing.assert_allclose(
         laplacian_ratio_psi0(p2, 2 * x), laplacian_ratio_psi0(p1, x) / 4.0, rtol=1e-12
     )
+
+
+def index_array_reference(params, x):
+    """(log psi0, grad log psi0, Delta psi0 / psi0, potential, sum of the
+    potential's term magnitudes) gathered over the enumerated pairs and
+    triples and scattered with np.add.at, kept as the reference for the
+    distance-row evaluators."""
+    a, b = np.array(interaction_pairs(params)).reshape(-1, 2).T
+    i, j, k = np.array(three_body_triples(params), dtype=int).reshape(-1, 3).T
+    L_, beta = params.length, params.beta
+    theta = math.pi * ((x[..., a] - x[..., b]) % L_) / L_
+    s = np.sin(theta)
+    cot = np.cos(theta) / s
+    grad = np.zeros(x.shape)
+    np.add.at(grad, (slice(None), a), beta * math.pi / L_ * cot)
+    np.add.at(grad, (slice(None), b), -beta * math.pi / L_ * cot)
+    csc2 = (1.0 / (s * s)).sum(axis=-1)
+    lap = (grad * grad).sum(axis=-1) - 2.0 * beta * (math.pi / L_) ** 2 * csc2
+    # the potential takes raw differences, as wrapping costs digits
+    angle = lambda u, v: math.pi * (x[..., u] - x[..., v]) / L_  # noqa: E731
+    terms = (math.pi / L_) ** 2 * np.concatenate(
+        [params.g / np.sin(angle(a, b)) ** 2,
+         -params.big_g / (np.tan(angle(i, j)) * np.tan(angle(j, k)))], axis=-1)
+    potential = terms.sum(axis=-1)
+    return beta * np.log(s).sum(axis=-1), grad, lap, potential, np.abs(terms).sum(axis=-1)
+
+
+def test_pair_sums_match_index_array_reference():
+    # r runs past N/2, so every even N meets the antipodal row (r_eff = N/2)
+    for n in range(3, 41):
+        for r in range(1, n // 2 + 2):
+            p = derive_params(n, r, beta=1.5)
+            x = sample_positions(p, 4, seed=n + 100 * r)
+            log_ref, grad_ref, lap_ref, pot_ref, pot_scale = index_array_reference(p, x)
+            np.testing.assert_allclose(log_psi0(p, x), log_ref, rtol=1e-12)
+            # relative to the terms' magnitudes: the cot*cot terms can cancel
+            # to a sum far below them, and then neither side keeps 13 digits
+            assert np.all(np.abs(potential_energy(p, x) - pot_ref) <= 1e-13 * pot_scale), (n, r)
+            g, lap = grad_log_psi0(p, x), laplacian_ratio_psi0(p, x)
+            assert np.abs(g - grad_ref).max() / (np.abs(grad_ref).max() + 1.0) < 1e-12, (n, r)
+            assert np.abs(lap - lap_ref).max() / (np.abs(lap_ref).max() + 1.0) < 1e-12, (n, r)
+
+
+@pytest.mark.parametrize(
+    "evaluate", [log_psi0, grad_log_psi0, laplacian_ratio_psi0, potential_energy])
+@pytest.mark.parametrize("second", [0.0, L], ids=["coincident", "one_period_apart"])
+@pytest.mark.parametrize("site", [1, 2, 5])
+def test_coincident_pair_rejected(evaluate, second, site):
+    # sites 1 and 5 are nearest neighbours of site 0 and site 2 is at distance 2
+    p = derive_params(6, 2, beta=2.0)
+    x = sample_positions(p, 3, seed=1)
+    x[1, 0], x[1, site] = 0.0, second
+    with pytest.raises(SeparationError):
+        evaluate(p, x)
 
 
 # -- excitation factors ----------------------------------------------------
