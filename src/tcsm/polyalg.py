@@ -1,9 +1,11 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
-Coefficients are exact rationals (`Fraction`).  This generic algebra is the
-reference for the transformed operator (`spectral.apply_H1`) and for the
-exact eigen, parity and boost checks; the degree-block pencils are built
-from their integer closed form instead.
+Coefficients are exact rationals (`Fraction`).  `spectral.apply_H1` uses
+only `exact_divide` from here, on integer coefficients: it forms D_j and
+the product by z_a + z_b itself, term by term.  The generic ring operations
+(`apply_D`, `__mul__`, `__add__`, ...) are the reference for it in the
+tests, and the degree-block pencils are built from their integer closed
+form instead.
 
 Exponent vectors are plain int tuples; negative exponents are allowed.
 Serialization uses a canonical graded-lexicographic term order so goldens
@@ -20,11 +22,7 @@ from typing import Iterable, Iterator
 
 
 class DivisionError(ArithmeticError):
-    """Exact division failed; carries the offending remainder."""
-
-    def __init__(self, message, remainder=None):
-        super().__init__(message)
-        self.remainder = remainder
+    """Exact division by z_a - z_b failed; the message names the pair (a, b)."""
 
 
 ZERO = Fraction(0)
@@ -183,49 +181,36 @@ def exact_divide(p: LaurentPoly, a: int, b: int) -> LaurentPoly:
 
     Terms are grouped by the exponents of every other variable together
     with s = e_a + e_b (the divisor is homogeneous in z_a, z_b), reducing
-    each group to a univariate synthetic division in w = z_a/z_b.
+    each group to a univariate synthetic division in w = z_a/z_b.  The
+    carry starts at the integer 0, so integer coefficients give an integer
+    quotient and Fraction coefficients a Fraction one.
     """
     if a == b:
         raise ValueError("need distinct variable indices")
+    i, j = sorted((a, b))
     groups: dict[tuple, dict[int, Fraction]] = {}
     for e, c in p.terms.items():
-        rest = tuple(x for i, x in enumerate(e) if i not in (a, b))
-        key = (rest, e[a] + e[b])
+        key = (e[:i] + e[i + 1:j] + e[j + 1:], e[a] + e[b])
         groups.setdefault(key, {})[e[a]] = c
     out: dict[tuple[int, ...], Fraction] = {}
     for (rest, s), coeffs in groups.items():
-        lo, hi = min(coeffs), max(coeffs)
         if sum(coeffs.values()):
-            rem = _rebuild(p.nvars, a, b, rest, {k: v for k, v in coeffs.items()})
-            raise DivisionError("polynomial not divisible by (z_a - z_b)", remainder=rem)
-        # synthetic division of sum c_k w^k by (w - 1), descending Horner
-        carry = ZERO
-        for k in range(hi, lo, -1):
-            carry = carry + coeffs.get(k, ZERO)
+            raise DivisionError(f"polynomial not divisible by (z_a - z_b) for pair ({a}, {b})")
+        # synthetic division of sum c_k w^k by (w - 1), descending Horner;
+        # groups differ in (rest, s), so no two write the same exponent
+        carry = 0
+        for k in range(max(coeffs), min(coeffs), -1):
+            carry += coeffs.get(k, 0)
             if carry:
-                e = _assemble(p.nvars, a, b, rest, k - 1, s - k)
-                out[e] = out.get(e, ZERO) + carry
+                out[_assemble(rest, a, b, k - 1, s - k)] = carry
     return LaurentPoly(p.nvars, out)
 
 
-def _assemble(nvars, a, b, rest, ea, eb):
-    e = [0] * nvars
-    it = iter(rest)
-    for i in range(nvars):
-        if i == a:
-            e[i] = ea
-        elif i == b:
-            e[i] = eb
-        else:
-            e[i] = next(it)
-    return tuple(e)
-
-
-def _rebuild(nvars, a, b, rest, coeffs):
-    terms = {}
-    for k, c in coeffs.items():
-        terms[_assemble(nvars, a, b, rest, k, 0)] = c
-    return LaurentPoly(nvars, terms)
+def _assemble(rest, a, b, ea, eb):
+    """Exponent vector with ea at position a, eb at b and `rest` elsewhere."""
+    if a > b:
+        a, b, ea, eb = b, a, eb, ea
+    return rest[:a] + (ea,) + rest[a:b - 1] + (eb,) + rest[b - 1:]
 
 
 def elementary_symmetric(k: int, nvars: int) -> LaurentPoly:

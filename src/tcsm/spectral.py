@@ -14,15 +14,19 @@ The operator preserves homogeneous degree but, for 1 < r < c, maps fully
 symmetric polynomials only into cyclic-invariant ones, so each degree
 block is a rectangular pencil (A0 + beta A1) v = lambda E v with E the
 exact embedding of the symmetric basis into the cyclic-invariant basis.
-`build_pencil` reads A0, A1 and E off the basis labels in integers;
-`apply_H1` applies the operator through generic Laurent algebra and is the
-reference for the exact eigen, parity and boost checks.
+`build_pencil` reads A0, A1 and E off the basis labels in integers.
+`apply_H1` applies the operator to one polynomial, behind the exact eigen,
+parity and boost checks: it clears denominators once, forms the diagonal
+and each pair's drift numerator in integers, makes one exact division per
+drift pair and builds each output Fraction once.  The generic Laurent ring
+operations are its reference in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -55,24 +59,48 @@ class H1Operator:
 
 
 def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
-    """Apply the transformed operator exactly, in rationals, at a given beta.
+    """Apply the transformed operator exactly, at a given beta.
+
+    p is scaled once to integer coefficients; the diagonal sum_j D_j^2 and,
+    per drift pair, the numerator (z_a + z_b)(D_a - D_b)p are formed in
+    integers, and each coefficient becomes a Fraction once, at the end.
 
     For beta != 0, divisibility of (D_a - D_b)p by (z_a - z_b) is checked,
-    not assumed; it fails exactly when p lacks a<->b exchange symmetry.
+    not assumed (DivisionError otherwise).  It holds exactly when, in every
+    group of terms c_k z_a^k z_b^(s-k) sharing s and the other exponents,
+    sum_k (2k - s) c_k = 0; a<->b exchange symmetry is sufficient, not
+    necessary.
     """
     n = op.params.n
     if p.nvars != n:
         raise ValueError("variable count mismatch")
-    out = LaurentPoly.zero(n)
-    for j in range(n):
-        out = out + p.apply_D(j).apply_D(j)
+    beta = Fraction(beta)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    diag = {e: c * sum(x * x for x in e) for e, c in ints.items()}
+    drift = _drift(op, ints) if beta else {}
+    scale = den * beta.denominator
+    return LaurentPoly(n, {
+        e: Fraction(diag.get(e, 0) * beta.denominator + beta.numerator * drift.get(e, 0), scale)
+        for e in diag | drift
+    })
+
+
+def _drift(op: H1Operator, ints: dict) -> dict:
+    """sum over pairs of (z_a + z_b)(D_a - D_b)p / (z_a - z_b), p given by
+    its integer coefficients; one exact division per pair that moves p."""
+    drift: dict[tuple[int, ...], int] = {}
     for a, b in op.drift_pairs:
-        moved = (p.apply_D(a) - p.apply_D(b)).scale(beta)
-        if not moved:
-            continue
-        za_plus_zb = LaurentPoly.variable(n, a) + LaurentPoly.variable(n, b)
-        out = out + exact_divide(za_plus_zb * moved, a, b)
-    return out
+        moved: dict[tuple[int, ...], int] = {}
+        for e, c in ints.items():
+            k = (e[a] - e[b]) * c
+            if k:
+                for up in (e[:a] + (e[a] + 1,) + e[a + 1:], e[:b] + (e[b] + 1,) + e[b + 1:]):
+                    moved[up] = moved.get(up, 0) + k
+        if moved:
+            for e, c in exact_divide(LaurentPoly(op.params.n, moved), a, b).terms.items():
+                drift[e] = drift.get(e, 0) + c
+    return drift
 
 
 def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:

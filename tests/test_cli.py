@@ -178,6 +178,11 @@ def test_bad_spectrum_tol_rejected(tol):
     assert "tol" in message
 
 
+def test_table1_has_no_tol_flag():
+    message = assert_usage_error("table1", "--tol", "1e-8")
+    assert "--tol" in message
+
+
 def test_spectrum_command():
     code, out = run_cli("spectrum", "--n", "6", "--r", "2", "--degree", "1")
     data = json.loads(out)

@@ -130,6 +130,25 @@ def test_divide_multiply_roundtrip(p):
     assert exact_divide(p * d, 0, 1) == p
 
 
+@given(st.dictionaries(exponents, st.integers(-9, 9), max_size=5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_divide_integer_matches_fraction(terms, divisible):
+    fracs = LaurentPoly(NV, {e: Fraction(c) for e, c in terms.items()})
+    if divisible:
+        fracs = fracs * (z(0) - z(1))
+    ints = LaurentPoly(NV, {e: int(c) for e, c in fracs.terms.items()})
+    try:
+        want = exact_divide(fracs, 1, 0)
+    except DivisionError:
+        with pytest.raises(DivisionError):
+            exact_divide(ints, 1, 0)
+        return
+    got = exact_divide(ints, 1, 0)
+    assert got == want and want * (z(1) - z(0)) == fracs
+    assert all(type(c) is int for c in got.terms.values())
+    assert all(type(c) is Fraction for c in want.terms.values())
+
+
 def test_laurent_division():
     p = power_sum(-1, NV)
     moved = p.apply_D(0) - p.apply_D(1)

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,11 @@ from tcsm.oracle import verify_eigenstate
 from tcsm.polyalg import (
     CYCLIC,
     SYMMETRIC,
+    DivisionError,
     LaurentPoly,
     basis,
     elementary_symmetric,
+    exact_divide,
     power_sum,
     project,
 )
@@ -109,6 +112,84 @@ def test_truncated_image_leaves_symmetric_space():
     sym = basis(SYMMETRIC, 6, 2)
     residuals = [project(apply_H1(op, el, ONE), sym)[1] for el in sym.elements]
     assert any(residuals)
+
+
+def test_divisible_without_exchange_symmetry():
+    # p is not symmetric under z0 <-> z1, but its one group (s = 4) has
+    # sum_k (2k - s) c_k = (0 - 4) * 1 + (6 - 4) * 2 = 0, so the drift divides
+    op = H1Operator(params=derive_params(3, 1), drift_pairs=((0, 1),))
+    p = LaurentPoly(3, {(0, 4, 0): ONE, (3, 1, 0): Fraction(2)})
+    image = apply_H1(op, p, ONE)
+    assert image.canonical() == "(24)*z0^3*z1^1 + (8)*z0^2*z1^2 + (8)*z0^1*z1^3 + (20)*z1^4"
+
+
+@pytest.mark.parametrize("c", [ONE, Fraction(3), Fraction(5, 2), Fraction(-2)])
+def test_drift_not_divisible_raises(c):
+    op = H1Operator(params=derive_params(3, 1), drift_pairs=((0, 1),))
+    p = LaurentPoly(3, {(0, 4, 0): ONE, (3, 1, 0): c})
+    with pytest.raises(DivisionError, match=r"\(0, 1\)"):
+        apply_H1(op, p, ONE)
+    # at beta = 0 the drift, and so its divisibility, is skipped
+    assert apply_H1(op, p, 0) == LaurentPoly(3, {(0, 4, 0): Fraction(16), (3, 1, 0): 10 * c})
+
+
+def _reference_apply_H1(op, p, beta):
+    """The operator through generic Laurent algebra: D_j, scale, multiply by
+    z_a + z_b, then one exact division per pair that moves p."""
+    n = op.params.n
+    out = LaurentPoly.zero(n)
+    for j in range(n):
+        out = out + p.apply_D(j).apply_D(j)
+    for a, b in op.drift_pairs:
+        moved = (p.apply_D(a) - p.apply_D(b)).scale(beta)
+        if not moved:
+            continue
+        za_plus_zb = LaurentPoly.variable(n, a) + LaurentPoly.variable(n, b)
+        out = out + exact_divide(za_plus_zb * moved, a, b)
+    return out
+
+
+@st.composite
+def operator_inputs(draw):
+    """(op, p, beta): p raw, summed over rotations, or (N <= 4) summed over
+    every permutation of the variables; Laurent exponents, rational
+    coefficients."""
+    n = draw(st.integers(3, 6))
+    r = draw(st.integers(1, n // 2 + 1))
+    exps = st.tuples(*[st.integers(-2, 3)] * n)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    terms = draw(st.dictionaries(exps, coeffs, max_size=4))
+    orbit = draw(st.sampled_from([
+        lambda e: [e],
+        lambda e: [e[k:] + e[:k] for k in range(n)],
+        lambda e: set(permutations(e)) if n <= 4 else [e],
+    ]))
+    sym = {}
+    for e, c in terms.items():
+        for f in orbit(e):
+            sym[f] = sym.get(f, 0) + c
+    beta = draw(st.one_of(st.integers(-3, 3).filter(bool),
+                          st.fractions(max_value=Fraction(-1, 7), max_denominator=7),
+                          st.just(0)))
+    return operator(n, r), LaurentPoly(n, sym), beta
+
+
+@given(operator_inputs())
+@example((operator(4, 1), elementary_symmetric(2, 4), Fraction(-1, 3)))
+@example((operator(5, 2), power_sum(-1, 5) * elementary_symmetric(2, 5), 2))
+@settings(max_examples=100, deadline=None)
+def test_apply_H1_matches_generic_algebra(case):
+    op, p, beta = case
+    try:
+        want = _reference_apply_H1(op, p, beta)
+    except DivisionError:
+        with pytest.raises(DivisionError):
+            apply_H1(op, p, beta)
+        return
+    got = apply_H1(op, p, beta)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.terms.values())
+    assert got.canonical() == want.canonical() and hash(got) == hash(want)
 
 
 def _generic_block(op, degree):
