@@ -81,6 +81,9 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
         raise ParameterDomainError(f"need finite L > 0, got {length!r}")
     if not 0 < beta < math.inf:
         raise ParameterDomainError(f"need finite beta > 0, got {beta!r}")
+    g, big_g, unit = beta * (beta - 1.0), beta * beta, (math.pi / length) * (math.pi / length)
+    if not all(map(math.isfinite, (g, big_g, unit))):
+        raise ParameterDomainError(f"g, G or (pi/L)^2 overflows at beta={beta!r}, L={length!r}")
 
     c = n // 2 if n % 2 == 0 else (n - 1) // 2
     regime = FULL if r >= c else TRUNCATED
@@ -96,8 +99,8 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
         r=r,
         length=float(length),
         beta=float(beta),
-        g=beta * (beta - 1.0),
-        big_g=beta * beta,
+        g=g,
+        big_g=big_g,
         c=c,
         r_eff=r_eff,
         k=k,

@@ -102,6 +102,8 @@ def sample_positions(
     """
     if count < 1:
         raise ParameterDomainError("count must be >= 1")
+    if seed < 0:
+        raise ParameterDomainError(f"need seed >= 0, got {seed!r}")
     n, length = params.n, params.length
     if not 0.0 < min_sep_frac < 1.0 / n:
         raise SamplingError(

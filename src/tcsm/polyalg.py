@@ -4,8 +4,8 @@ Coefficients are exact rationals (`Fraction`).  `spectral.apply_H1` uses
 only `exact_divide` from here, on integer coefficients: it forms D_j and
 the product by z_a + z_b itself, term by term.  The generic ring operations
 (`apply_D`, `__mul__`, `__add__`, ...) are the reference for it in the
-tests, and the degree-block pencils are built from their integer closed
-form instead.
+tests; the degree-block pencils are built from their integer closed form
+over the orbit-sum bases here, necklaces enumerated per partition.
 
 Exponent vectors are plain int tuples; negative exponents are allowed.
 Serialization uses a canonical graded-lexicographic term order so goldens
@@ -236,7 +236,7 @@ def power_sum(k: int, nvars: int) -> LaurentPoly:
     return LaurentPoly(nvars, terms)
 
 
-# -- partitions, compositions, orbit bases ---------------------------------
+# -- partitions, necklaces, orbit bases -------------------------------------
 
 def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """Partitions of d into at most max_parts parts, weakly decreasing tuples."""
@@ -252,16 +252,6 @@ def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[
             yield (first,) + tail
 
 
-def compositions(d: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of d into exactly `parts` non-negative parts."""
-    if parts == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for tail in compositions(d - first, parts - 1):
-            yield (first,) + tail
-
-
 def _distinct_permutations(counts: dict[int, int], length: int) -> Iterator[tuple[int, ...]]:
     if length == 0:
         yield ()
@@ -274,14 +264,17 @@ def _distinct_permutations(counts: dict[int, int], length: int) -> Iterator[tupl
             counts[v] += 1
 
 
+def _arrangements(partition: tuple[int, ...], nvars: int) -> Iterator[tuple[int, ...]]:
+    """Distinct arrangements of the zero-padded partition, lex descending."""
+    counts: dict[int, int] = {}
+    for v in list(partition) + [0] * (nvars - len(partition)):
+        counts[v] = counts.get(v, 0) + 1
+    return _distinct_permutations(counts, nvars)
+
+
 def monomial_symmetric(partition: tuple[int, ...], nvars: int) -> LaurentPoly:
     """Orbit sum of z^partition under all variable permutations, coefficient 1."""
-    padded = list(partition) + [0] * (nvars - len(partition))
-    counts: dict[int, int] = {}
-    for v in padded:
-        counts[v] = counts.get(v, 0) + 1
-    terms = {tuple(e): ONE for e in _distinct_permutations(counts, nvars)}
-    return LaurentPoly(nvars, terms)
+    return LaurentPoly(nvars, {e: ONE for e in _arrangements(partition, nvars)})
 
 
 def cyclic_representative(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -329,16 +322,18 @@ class BasisSet:
 
 def basis(kind: str, nvars: int, degree: int) -> BasisSet:
     """Enumerate the symmetric (partition-indexed) or cyclic-invariant
-    (necklace-indexed) orbit-sum basis at a given degree."""
+    (necklace-indexed) orbit-sum basis at a given degree.  Partitions come
+    in reverse lex order, and necklaces grouped by partition in that order."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if kind == SYMMETRIC:
-        labels = sorted(partitions(degree, nvars), reverse=True)
-    elif kind == CYCLIC:
-        labels = sorted({cyclic_representative(c) for c in compositions(degree, nvars)},
-                        reverse=True)
-    else:
+    if kind not in (SYMMETRIC, CYCLIC):
         raise ValueError(f"unknown basis kind {kind!r}")
+    labels = sorted(partitions(degree, nvars), reverse=True)
+    if kind == CYCLIC:
+        # a necklace, the lex max of its rotations, starts with its largest part
+        heads = ((lam[:1] or (0,)) + tail for lam in labels
+                 for tail in _arrangements(lam[1:], nvars - 1))
+        labels = [e for e in heads if e == cyclic_representative(e)]
     return BasisSet(kind=kind, nvars=nvars, degree=degree, labels=tuple(labels))
 
 

@@ -14,7 +14,8 @@ The operator preserves homogeneous degree but, for 1 < r < c, maps fully
 symmetric polynomials only into cyclic-invariant ones, so each degree
 block is a rectangular pencil (A0 + beta A1) v = lambda E v with E the
 exact embedding of the symmetric basis into the cyclic-invariant basis.
-`build_pencil` reads A0, A1 and E off the basis labels in integers.
+`build_pencil` reads sparse A1 rows and the row -> partition index that
+fixes A0 and E off the basis labels in integers.
 `apply_H1` applies the operator to one polynomial, behind the exact eigen,
 parity and boost checks: it clears denominators once, forms the diagonal
 and each pair's drift numerator in integers, makes one exact division per
@@ -118,14 +119,15 @@ def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
 @dataclass(frozen=True)
 class PencilBlock:
     """Exact degree-d block: A = A0 + beta*A1 maps symmetric coordinates into
-    the cyclic-invariant basis; E is the embedding.  All entries are integers."""
+    the cyclic-invariant basis; E is the embedding.  Row rho of E (of A0) is
+    1 (sum_j lambda_j^2) at `column[rho]`, the partition lambda of rho, and
+    0 elsewhere; `a1` holds the integer rows of A1 as column -> value."""
 
     degree: int
     sym_basis: BasisSet
     cyc_basis: BasisSet
-    a0: tuple[tuple[int, ...], ...]
-    a1: tuple[tuple[int, ...], ...]
-    embed: tuple[tuple[int, ...], ...]
+    column: tuple[int, ...]
+    a1: tuple[dict[int, int], ...]
 
     @property
     def dim_sym(self) -> int:
@@ -134,12 +136,6 @@ class PencilBlock:
     @property
     def dim_cyc(self) -> int:
         return len(self.cyc_basis)
-
-    def numeric(self, beta_value: float):
-        a0 = np.array(self.a0, dtype=float)
-        a1 = np.array(self.a1, dtype=float)
-        e = np.array(self.embed, dtype=float)
-        return a0 + beta_value * a1, e
 
 
 def _partition(exps) -> tuple[int, ...]:
@@ -156,22 +152,18 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     with n <= min(rho_a, rho_b), where w is 1 at the ends of the run
     (n = min(rho_a, rho_b)) and 2 inside it; the column is the partition of
     rho with (rho_a, rho_b) replaced by (m, n).  Each symmetric element is a
-    sum of flat cyclic orbit sums, so E[rho][lambda] = 1 where sort(rho) =
-    lambda, and A0 = E * sum_j lambda_j^2.
+    sum of flat cyclic orbit sums, so E and A0 follow from each row's
+    partition.
     """
     if degree < 1:
         raise ParameterDomainError("degree must be >= 1")
     n = op.params.n
     sym = basis(SYMMETRIC, n, degree)
     cyc = basis(CYCLIC, n, degree)
-    column = {lam: j for j, lam in enumerate(sym.labels)}
-    a0 = [[0] * len(sym) for _ in range(len(cyc))]
-    a1 = [[0] * len(sym) for _ in range(len(cyc))]
-    emb = [[0] * len(sym) for _ in range(len(cyc))]
-    for row, rho in enumerate(cyc.labels):
-        lam = _partition(rho)
-        emb[row][column[lam]] = 1
-        a0[row][column[lam]] = sum(x * x for x in lam)
+    index = {lam: j for j, lam in enumerate(sym.labels)}
+    rows = []
+    for rho in cyc.labels:
+        row: dict[int, int] = {}
         for a, b in op.drift_pairs:
             low, total = min(rho[a], rho[b]), rho[a] + rho[b]
             for lo in range(low + 1):
@@ -180,14 +172,15 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
                     continue
                 source = list(rho)
                 source[a], source[b] = hi, lo
-                a1[row][column[_partition(source)]] += (hi - lo) * (1 if lo == low else 2)
+                j = index[_partition(source)]
+                row[j] = row.get(j, 0) + (hi - lo) * (1 if lo == low else 2)
+        rows.append(row)
     return PencilBlock(
         degree=degree,
         sym_basis=sym,
         cyc_basis=cyc,
-        a0=tuple(tuple(r) for r in a0),
-        a1=tuple(tuple(r) for r in a1),
-        embed=tuple(tuple(r) for r in emb),
+        column=tuple(index[_partition(rho)] for rho in cyc.labels),
+        a1=tuple(rows),
     )
 
 
@@ -212,20 +205,25 @@ class PencilSolution:
 
 def solve_pencil(block: PencilBlock, beta_value: float, tol: float = CERT_TOL) -> PencilSolution:
     """Candidate pairs from the least-squares square operator E^+ A; each is
-    certified by its true full-space residual ||Av - lambda Ev|| / ||Ev||."""
+    certified by its true full-space residual ||Av - lambda Ev|| / ||Ev||.
+    Ev is v[column], and E^+ A averages A's rows over each column's run."""
     if not 0 < tol < SPURIOUS_FLOOR:
         raise ParameterDomainError(f"need 0 < tol < {SPURIOUS_FLOOR}, got {tol!r}")
-    a, e = block.numeric(beta_value)
-    svals = np.linalg.svd(e, compute_uv=False)
-    if svals[-1] / svals[0] < 1e-10:
-        raise PencilError("embedding is numerically rank-deficient")
-    m = np.linalg.pinv(e) @ a
+    column = np.array(block.column)
+    diag = np.array([sum(x * x for x in lam) for lam in block.sym_basis.labels], dtype=float)
+    a1 = np.zeros((block.dim_cyc, block.dim_sym))
+    for row, entries in enumerate(block.a1):
+        a1[row, list(entries)] = list(entries.values())
+    runs = np.bincount(column)
+    starts = np.cumsum(runs) - runs
+    m = np.diag(diag) + beta_value * np.add.reduceat(a1, starts) / runs[:, None]
     w, vecs = np.linalg.eig(m)
     pairs = []
     for i in range(len(w)):
         v = vecs[:, i]
-        ev = e @ v
-        res = float(np.linalg.norm(a @ v - w[i] * ev) / np.linalg.norm(ev))
+        ev = v[column]
+        av = diag[column] * ev + beta_value * (a1 @ v)
+        res = float(np.linalg.norm(av - w[i] * ev) / np.linalg.norm(ev))
         pairs.append(EigenPair(value=complex(w[i]), vector=tuple(v.tolist()), residual=res))
     pairs.sort(key=lambda pr: (pr.value.real, pr.value.imag))
     certified = tuple(pr for pr in pairs if pr.residual < tol)

@@ -149,6 +149,25 @@ def test_nonfinite_parameter_rejected(flag):
     assert_usage_error("verify-ground", "--n", "6", "--r", "2", flag, "inf")
 
 
+@pytest.mark.parametrize("argv", [
+    ["params", "--n", "6", "--r", "2", "--beta", "1e200"],
+    ["verify-ground", "--n", "6", "--r", "2", "--beta", "1e200"],
+    ["spectrum", "--n", "6", "--r", "2", "--degree", "2", "--beta", "1e308"],
+    ["verify-ground", "--n", "6", "--r", "2", "--length", "1e-310"],
+])
+def test_overflowing_parameter_rejected(argv):
+    assert "overflow" in assert_usage_error(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-ground", "--n", "6", "--r", "2"],
+    ["verify-excited", "--n", "6", "--r", "2", "--state", "e1"],
+    ["table1"],
+])
+def test_negative_seed_rejected(argv):
+    assert "seed" in assert_usage_error(*argv, "--samples", "50", "--seed", "-1")
+
+
 def test_zero_samples_rejected():
     message = assert_usage_error("verify-ground", "--n", "6", "--r", "2", "--samples", "0")
     assert "samples" in message

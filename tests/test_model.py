@@ -51,6 +51,9 @@ def test_coupling_relations():
         dict(n=6, r=1, length=math.inf),
         dict(n=6, r=1, beta=math.inf),
         dict(n=6, r=1, beta=math.nan),
+        dict(n=6, r=2, beta=1e200),  # g and G overflow
+        dict(n=6, r=2, beta=1e308),
+        dict(n=6, r=2, length=1e-310),  # (pi/L)^2 overflows
     ],
 )
 def test_domain_rejection(bad):

@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +185,37 @@ def test_symmetric_basis_dims():
     assert len(basis(SYMMETRIC, 3, 2)) == 2  # partitions 2, 1+1
     assert len(basis(SYMMETRIC, 6, 6)) == 11
     assert len(basis(CYCLIC, 6, 1)) == 1
+
+
+def compositions(d, parts):
+    """Weak compositions of d into exactly `parts` non-negative parts."""
+    if parts == 1:
+        yield (d,)
+        return
+    for first in range(d + 1):
+        for tail in compositions(d - first, parts - 1):
+            yield (first,) + tail
+
+
+def necklace_count(n, d):
+    """Burnside: (1/N) sum over t | gcd(N, d) of phi(t) C(N/t + d/t - 1, d/t)."""
+    def phi(t):
+        return sum(1 for k in range(1, t + 1) if gcd(k, t) == 1)
+    g = gcd(n, d)
+    total = sum(phi(t) * comb(n // t + d // t - 1, d // t) for t in range(1, g + 1) if g % t == 0)
+    assert total % n == 0
+    return total // n
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_cyclic_basis_counts_and_labels(n):
+    for d in range(10):
+        labels = basis(CYCLIC, n, d).labels
+        assert len(labels) == necklace_count(n, d)
+        assert set(labels) == {cyclic_representative(c) for c in compositions(d, n)}
+        # grouped by partition, partitions in the symmetric basis's order
+        parts = [tuple(sorted((x for x in e if x), reverse=True)) for e in labels]
+        assert [lam for lam, _ in groupby(parts)] == list(basis(SYMMETRIC, n, d).labels)
 
 
 def test_monomial_symmetric_is_symmetric():

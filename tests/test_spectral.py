@@ -16,6 +16,7 @@ from tcsm.polyalg import (
     DivisionError,
     LaurentPoly,
     basis,
+    cyclic_representative,
     elementary_symmetric,
     exact_divide,
     power_sum,
@@ -209,6 +210,18 @@ def _generic_block(op, degree):
     return tuple(zip(*a0)), tuple(zip(*a1)), tuple(zip(*emb))
 
 
+def _dense_block(block):
+    """Dense (A0, A1, E) rebuilt from the block's column index, sparse A1
+    rows and the diagonal D = sum_j lambda_j^2 over the symmetric labels."""
+    diag = [sum(x * x for x in lam) for lam in block.sym_basis.labels]
+    a0, a1, emb = [], [], []
+    for j, row in zip(block.column, block.a1):
+        a0.append(tuple(diag[j] if k == j else 0 for k in range(block.dim_sym)))
+        a1.append(tuple(row.get(k, 0) for k in range(block.dim_sym)))
+        emb.append(tuple(int(k == j) for k in range(block.dim_sym)))
+    return tuple(a0), tuple(a1), tuple(emb)
+
+
 @given(st.integers(4, 7), st.integers(1, 3), st.integers(1, 5))
 @example(6, 3, 4)  # full regime, antipodal pairs counted once
 @example(7, 2, 5)  # truncated regime
@@ -217,7 +230,26 @@ def _generic_block(op, degree):
 def test_pencil_matches_generic_algebra(n, r, degree):
     op = operator(n, r)
     block = build_pencil(op, degree)
-    assert (block.a0, block.a1, block.embed) == _generic_block(op, degree)
+    assert _dense_block(block) == _generic_block(op, degree)
+    assert all(0 not in row.values() for row in block.a1)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_pencil_rows(n):
+    # in both regimes: E has full column rank, because column is
+    # non-decreasing and hits every partition; A1[rho, sort rho] = sum over
+    # drift pairs of |rho_a - rho_b|; and a necklace and its mirror have
+    # equal A1 rows (the drift-pair set is invariant under j -> -j)
+    for r in sorted({1, n // 2 + 1}):
+        op = operator(n, r)
+        for degree in range(1, 9):
+            block = build_pencil(op, degree)
+            assert list(block.column) == sorted(block.column)
+            assert set(block.column) == set(range(block.dim_sym))
+            rows = dict(zip(block.cyc_basis.labels, block.a1))
+            for rho, j, row in zip(block.cyc_basis.labels, block.column, block.a1):
+                assert row.get(j, 0) == sum(abs(rho[a] - rho[b]) for a, b in op.drift_pairs)
+                assert rows[cyclic_representative(rho[::-1])] == row
 
 
 def test_pencil_d1():
