@@ -82,8 +82,11 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
     if not 0 < beta < math.inf:
         raise ParameterDomainError(f"need finite beta > 0, got {beta!r}")
     g, big_g, unit = beta * (beta - 1.0), beta * beta, (math.pi / length) * (math.pi / length)
-    if not all(map(math.isfinite, (g, big_g, unit))):
-        raise ParameterDomainError(f"g, G or (pi/L)^2 overflows at beta={beta!r}, L={length!r}")
+    # the energy scales g (pi/L)^2 and G (pi/L)^2 can overflow when each factor is finite
+    if not all(map(math.isfinite, (g, big_g, unit, g * unit, big_g * unit))):
+        raise ParameterDomainError(
+            f"g, G, (pi/L)^2 or an energy scale G (pi/L)^2 overflows at beta={beta!r}, L={length!r}"
+        )
 
     c = n // 2 if n % 2 == 0 else (n - 1) // 2
     regime = FULL if r >= c else TRUNCATED

@@ -17,7 +17,6 @@ from .model import (
     ParameterDomainError,
     closed_form_levels,
     ground_energy_physical,
-    triple_offsets,
 )
 from .wavefunction import (
     BOOSTED,
@@ -31,12 +30,15 @@ from .wavefunction import (
     SIN_SUM,
     Configuration,
     StateSpec,
-    grad_log_psi0,
-    laplacian_ratio_psi0,
+    _grad_log_psi0,
+    _laplacian_by_site,
+    _phi_ratios,
+    _site_sum,
+    _sites_first,
+    csc2_by_site,
+    grad_log_psi0,  # noqa: F401  re-exported: perfbench reads oracle.grad_log_psi0
     min_cyclic_separation,
     pair_cot,
-    pair_sum,
-    phi_eval_batch,
 )
 
 IMAG_RATIO_TOL = 1e-9
@@ -51,29 +53,64 @@ class SamplingError(RuntimeError):
     """Configurations with the requested separation floor cannot be drawn."""
 
 
-def potential_energy(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Two-body csc^2 plus three-body -cot*cot potential, batched over (..., N).
+def _three_body_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
+    """Three-body cot * cot terms from the rows of `pair_cot`, summed per site; shape (N, ...).
 
-    Both sums read the distance rows of `pair_cot`.  The three-body term
-    with center j and ends j - s, j + t is cot_s at site j - s times cot_t
-    at site j.
+    The term with center j and ends j - s, j + t is cot_s at site j - s
+    times cot_t at site j, and is held at site j - s.  For each s the
+    allowed t of `triple_offsets` form one range,
+    r_eff - s + 1 <= t <= min(r_eff, N - s - r_eff - 1), so row s meets the
+    sum of the rows t in that range, shifted back by s, once.  The range
+    starts one row lower at each s; while its top stays put, the sum grows
+    by that one row.  Zero in the full regime.
     """
-    cot = pair_cot(params, x)
-    w = (math.pi / params.length) ** 2
-    v = params.g * w * pair_sum(params, 1.0 + cot * cot)
-    for s, t in triple_offsets(params):
-        v -= params.big_g * w * (np.roll(cot[s - 1], s, axis=-1) * cot[t - 1]).sum(axis=-1)
-    return v
+    n, r_eff = params.n, params.r_eff
+    total = np.zeros(cot.shape[1:])
+    ends, top = None, None
+    for s in range(1, r_eff + 1):
+        lo, hi = r_eff - s + 1, min(r_eff, n - s - r_eff - 1)
+        if lo > hi:
+            continue
+        ends = ends + cot[lo - 1] if hi == top else cot[lo - 1 : hi].sum(axis=0)
+        top = hi
+        c = cot[s - 1]
+        total[: n - s] += c[: n - s] * ends[s:]
+        total[n - s :] += c[n - s :] * ends[:s]
+    return total
+
+
+def _potential_by_site(params: ModelParams, cot: np.ndarray, csc2: np.ndarray) -> np.ndarray:
+    """Two-body g csc^2 plus three-body -G cot*cot potential per site, from the
+    rows of `pair_cot` and `csc2_by_site`; shape (N, ...)."""
+    unit = (math.pi / params.length) ** 2
+    return params.g * unit * csc2 - params.big_g * unit * _three_body_by_site(params, cot)
+
+
+def potential_energy(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    """Two-body csc^2 plus three-body -cot*cot potential, batched over (..., N)."""
+    cot = pair_cot(params, _sites_first(x))
+    return _site_sum(_potential_by_site(params, cot, csc2_by_site(params, cot)))
 
 
 def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
-    """((H psi)/psi as complex, node mask) for psi = psi0 * phi."""
-    l0 = laplacian_ratio_psi0(params, x)
-    g0 = grad_log_psi0(params, x)
-    _, grad_ratio, lap_ratio, nodes = phi_eval_batch(spec, params, x)
-    cross = (g0 * grad_ratio).sum(axis=-1)
-    energy = -0.5 * (l0 + 2.0 * cross + lap_ratio) + potential_energy(params, x)
-    return energy, nodes
+    """((H psi)/psi as complex, node mask) for psi = psi0 * phi.
+
+    One pass: the distance rows give the gradient g of log psi0 and the
+    csc^2 sums once, which serve both the psi0 Laplacian and the potential.
+    Their per-site terms are combined before the sum over sites, and the
+    rows are released before phi is evaluated.  With k = 2 pi i / L,
+    (H psi)/psi = -Delta psi0 / (2 psi0) + V
+                  - (k sum_m g_m D_m phi + k^2 sum_m D_m^2 phi / 2) / phi.
+    """
+    xs = _sites_first(x)
+    cot = pair_cot(params, xs)
+    g0 = _grad_log_psi0(params, cot)
+    csc2 = csc2_by_site(params, cot)
+    real = _site_sum(_potential_by_site(params, cot, csc2) - 0.5 * _laplacian_by_site(params, g0, csc2))
+    del cot, csc2
+    _, d, lap, inv, nodes = _phi_ratios(spec, params, xs)
+    k = 2j * math.pi / params.length
+    return real - (k * _site_sum(g0 * d) + 0.5 * k * k * lap) * inv, nodes
 
 
 def local_energy(params: ModelParams, spec: StateSpec, config: Configuration) -> complex:

@@ -1,10 +1,14 @@
 """Ground-state amplitude and symmetric excitation factors.
 
-All evaluation is log-domain and vectorized: position arrays have shape
-(..., N) and every function broadcasts over the leading axes; pair sums
-run over one row per cyclic distance (`pair_cot`).  Two independent
-differentiation paths exist for every quantity: the analytic formulas here
-and the second-order dual-number path in `dual_paths`.
+All evaluation is log-domain and vectorized.  The public functions take
+position arrays of shape (..., N) and broadcast over the leading axes.
+Inside, every kernel works sites first, on (N, ...) arrays (`_sites_first`):
+pair sums run over one row per cyclic distance (`pair_cot`, shape
+(r_eff, N, ...)), a shift to a partner site moves whole rows, and sums over
+sites are taken pairwise (`_site_sum`).  The public functions move the site
+axis only at their boundary.  Two independent differentiation paths exist
+for every quantity: the analytic formulas here and the second-order
+dual-number path in `dual_paths`.
 """
 
 from __future__ import annotations
@@ -105,20 +109,38 @@ def min_cyclic_separation(x: np.ndarray, length: float) -> np.ndarray:
     return np.minimum(np.diff(s, axis=-1).min(axis=-1, initial=length), wrap)
 
 
-def pair_cot(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """cot(pi (x_j - x_{j+d}) / L) for the distance rows d = 1..r_eff, shape (r_eff, ..., N).
+def _sites_first(x: np.ndarray) -> np.ndarray:
+    """Positions of shape (..., N) as a contiguous (N, ...) array.
 
-    Row d at site j is the interacting pair (j, j + d mod N).  The angles
-    come from raw differences: cot is pi-periodic, so no wrap is needed and
-    none costs precision.  Raises SeparationError when a pair coincides
-    modulo L, including two positions a whole period apart.
+    Every kernel below works sites first: a sum over sites reduces the
+    leading axis, a shift to a partner site moves whole rows, and a
+    per-sample value of shape (...) broadcasts against (N, ...) as it is.
     """
-    cot = np.empty((params.r_eff,) + x.shape)
-    for d in range(1, params.r_eff + 1):
-        turns = (x - np.roll(x, -d, axis=-1)) / params.length
-        if np.any(np.abs(turns - np.rint(turns)) < SEPARATION_FLOOR):
+    return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+
+
+def pair_cot(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+    """cot(pi (x_j - x_{j+d}) / L) for the distance rows d = 1..r_eff, shape (r_eff, N, ...).
+
+    Takes sites-first positions (`_sites_first`).  Row d at site j is the
+    interacting pair (j, j + d mod N).  The angles come from raw
+    differences: cot is pi-periodic, so no wrap is needed and none costs
+    precision.  Raises SeparationError when a pair coincides modulo L,
+    including two positions a whole period apart.
+    """
+    n = params.n
+    cot = np.empty((params.r_eff,) + xs.shape)
+    off = np.empty(xs.shape)
+    for d, row in enumerate(cot, 1):
+        np.subtract(xs[: n - d], xs[d:], out=row[: n - d])
+        np.subtract(xs[n - d :], xs[:d], out=row[n - d :])
+        row /= params.length
+        np.rint(row, out=off)
+        off -= row
+        if np.any(np.abs(off, out=off) < SEPARATION_FLOOR):
             raise SeparationError(f"coincident pair at distance {d}")
-        cot[d - 1] = 1.0 / np.tan(math.pi * turns)
+        row *= math.pi
+        np.reciprocal(np.tan(row, out=row), out=row)
     return cot
 
 
@@ -128,10 +150,30 @@ def _row_weights(params: ModelParams) -> np.ndarray:
     return np.where(2 * np.arange(1, params.r_eff + 1) == params.n, 0.5, 1.0)
 
 
+def _site_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the leading (site) axis by pairwise halving, so rounding
+    grows like log N, as in numpy's pairwise sum over a last axis, and not
+    like N, as in a plain reduction over a leading axis."""
+    while len(a) > 1:
+        h = len(a) // 2
+        head = a[:h] + a[h : 2 * h]
+        if len(a) % 2:
+            head[0] += a[2 * h]
+        a = head
+    return a[0]
+
+
 def pair_sum(params: ModelParams, rows: np.ndarray) -> np.ndarray:
     """Sum over interacting pairs of a per-pair quantity held as distance
-    rows of shape (r_eff, ..., N); shape (...)."""
-    return np.tensordot(_row_weights(params), rows.sum(axis=-1), axes=1)
+    rows of shape (r_eff, N, ...); shape (...)."""
+    return _site_sum(np.tensordot(_row_weights(params), rows, axes=1))
+
+
+def csc2_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
+    """csc^2 = 1 + cot^2 summed over the pairs (j, j + d) held at each site j,
+    from the rows of `pair_cot`; shape (N, ...)."""
+    w = _row_weights(params)
+    return np.einsum("d,dj...,dj...->j...", w, cot, cot) + w.sum()
 
 
 def log_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -139,32 +181,50 @@ def log_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
     Normalization is fixed to 1.
     """
-    return -params.beta * pair_sum(params, np.log(np.hypot(1.0, pair_cot(params, x))))
+    cot = pair_cot(params, _sites_first(x))
+    return -params.beta * pair_sum(params, np.log(np.hypot(1.0, cot, out=cot), out=cot))
 
 
 def _grad_log_psi0(params: ModelParams, cot: np.ndarray) -> np.ndarray:
-    """Each pair (j, j + d) adds beta (pi/L) cot to site j and subtracts it at j + d."""
-    w = _row_weights(params)
-    grad = sum(w[d - 1] * (c - np.roll(c, d, axis=-1)) for d, c in enumerate(cot, 1))
-    return params.beta * math.pi / params.length * grad
+    """Sites-first gradient, shape (N, ...): each pair (j, j + d) adds
+    beta (pi/L) cot to site j and subtracts it at j + d."""
+    n, w = params.n, _row_weights(params)
+    grad = np.tensordot(w, cot, axes=1)
+    for d, (wd, c) in enumerate(zip(w, cot), 1):
+        grad[d:] -= wd * c[: n - d]
+        grad[:d] -= wd * c[n - d :]
+    grad *= params.beta * math.pi / params.length
+    return grad
 
 
 def grad_log_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Gradient of log psi0, shape (..., N); components sum to zero."""
-    return _grad_log_psi0(params, pair_cot(params, x))
+    return np.moveaxis(_grad_log_psi0(params, pair_cot(params, _sites_first(x))), 0, -1)
+
+
+def _laplacian_by_site(params: ModelParams, g: np.ndarray, csc2: np.ndarray) -> np.ndarray:
+    """g_j^2 + h_j per site from the sites-first gradient and `csc2_by_site`:
+    each pair's -beta (pi/L)^2 csc^2 second derivative lands on both of its
+    ends, so the site holding the pair counts it twice; shape (N, ...)."""
+    return g * g - 2.0 * params.beta * (math.pi / params.length) ** 2 * csc2
 
 
 def laplacian_ratio_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Delta psi0 / psi0 = sum_m (g_m^2 + h_m), h from the csc^2 second derivatives."""
-    cot = pair_cot(params, x)
-    g = _grad_log_psi0(params, cot)
-    # every pair contributes its csc^2 = 1 + cot^2 term to both endpoints
-    csc2 = pair_sum(params, 1.0 + cot * cot)
-    return (g * g).sum(axis=-1) - 2.0 * params.beta * (math.pi / params.length) ** 2 * csc2
+    cot = pair_cot(params, _sites_first(x))
+    return _site_sum(_laplacian_by_site(params, _grad_log_psi0(params, cot), csc2_by_site(params, cot)))
 
 
-def _z(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    return np.exp(2j * math.pi * x / params.length)
+def _z(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+    """z = exp(2 pi i x / L) from the half-angle tangent t = tan(pi x / L):
+    z = (1 - t^2 + 2 i t) / (1 + t^2).  One tan per site costs less than a
+    cos and a sin, or the complex exponential."""
+    t = np.tan(xs * (math.pi / params.length))
+    s = 2.0 / (1.0 + t * t)  # 1 + cos
+    z = np.empty(xs.shape, dtype=complex)
+    np.subtract(s, 1.0, out=z.real)
+    np.multiply(s, t, out=z.imag)
+    return z
 
 
 def phi_node_scale(spec: StateSpec, params: ModelParams) -> float:
@@ -184,84 +244,88 @@ def phi_node_scale(spec: StateSpec, params: ModelParams) -> float:
     raise AssertionError(spec.kind)
 
 
-def _phi_terms(spec: StateSpec, params: ModelParams, z: np.ndarray):
-    """Return (phi, D, D2): phi shape (...,), D and D2 shape (..., N) holding
-    D_m phi and D_m^2 phi with D_m = z_m d/dz_m."""
+def _phi_terms(spec: StateSpec, params: ModelParams, xs: np.ndarray, z: np.ndarray | None = None):
+    """Return (phi, D, lap) at sites-first positions xs of shape (N, ...):
+    phi and lap = sum_m D_m^2 phi of shape (...), D of shape (N, ...)
+    holding D_m phi, with D_m = z_m d/dz_m.  z is `_z(params, xs)`,
+    computed here unless given; the ground state does not need it."""
     n = params.n
     if spec.kind == GROUND:
-        shape = z.shape[:-1]
-        one = np.ones(shape, dtype=complex)
-        zero = np.zeros(z.shape, dtype=complex)
-        return one, zero, zero
+        zero = np.zeros(xs.shape[1:], dtype=complex)
+        return zero + 1.0, np.zeros(xs.shape, dtype=complex), zero
+    if z is None:
+        z = _z(params, xs)
     if spec.kind == E1:
-        return z.sum(axis=-1), z.copy(), z.copy()
+        phi = z.sum(axis=0)
+        return phi, z, phi
     if spec.kind == EN:
-        big_g = z.prod(axis=-1)
-        d = np.broadcast_to(big_g[..., None], z.shape).copy()
-        return big_g, d, d.copy()
+        big_g = z.prod(axis=0)
+        return big_g, np.broadcast_to(big_g, z.shape), n * big_g
+    # |z| = 1, so 1/z is conj(z) and sum_m 1/z_m is conj(e1)
     if spec.kind == ENM1:
-        big_g = z.prod(axis=-1)
-        pinv = (1.0 / z).sum(axis=-1)
-        phi = big_g * pinv
-        d = phi[..., None] - big_g[..., None] / z
-        return phi, d, d.copy()
+        big_g = z.prod(axis=0)
+        phi = big_g * z.sum(axis=0).conj()
+        d = phi - big_g * z.conj()
+        return phi, d, d.sum(axis=0)
     if spec.kind == COMBO:
         c = n / (1.0 + params.drift_weight * params.beta)
-        e1 = z.sum(axis=-1)
-        big_g = z.prod(axis=-1)
-        pinv = (1.0 / z).sum(axis=-1)
-        enm1 = big_g * pinv
-        d_enm1 = enm1[..., None] - big_g[..., None] / z
+        e1 = z.sum(axis=0)
+        big_g = z.prod(axis=0)
+        enm1 = big_g * e1.conj()
+        d_enm1 = enm1 - big_g * z.conj()
         phi = e1 * enm1 - c * big_g
-        d = z * enm1[..., None] + e1[..., None] * d_enm1 - c * big_g[..., None]
-        d2 = (
-            z * enm1[..., None]
-            + 2.0 * z * d_enm1
-            + e1[..., None] * d_enm1
-            - c * big_g[..., None]
-        )
-        return phi, d, d2
+        d = z * enm1 + e1 * d_enm1 - c * big_g
+        # sum_m D_m^2 phi = e1 enm1 + 2 sum_m z_m D_m enm1 + e1 sum_m D_m enm1 - N c G
+        lap = e1 * enm1 + 2.0 * (z * d_enm1).sum(axis=0) + e1 * d_enm1.sum(axis=0) - n * c * big_g
+        return phi, d, lap
     if spec.kind == NONDEG_ZERO:
         c = n / (1.0 + params.drift_weight * params.beta)
-        e1 = z.sum(axis=-1)
-        pinv = (1.0 / z).sum(axis=-1)
+        e1 = z.sum(axis=0)
+        pinv = e1.conj()
         phi = e1 * pinv - c
-        d = z * pinv[..., None] - e1[..., None] / z
-        d2 = z * pinv[..., None] - 2.0 + e1[..., None] / z
-        return phi, d, d2
+        d = z * pinv - e1 * z.conj()
+        return phi, d, 2.0 * e1 * pinv - 2.0 * n
     if spec.kind == COS_SUM:
-        zin = 1.0 / z
-        phi = 0.5 * (z.sum(axis=-1) + zin.sum(axis=-1))
-        return phi, 0.5 * (z - zin), 0.5 * (z + zin)
+        phi = z.sum(axis=0).real + 0j
+        return phi, 1j * z.imag, phi
     if spec.kind == SIN_SUM:
-        zin = 1.0 / z
-        phi = (z.sum(axis=-1) - zin.sum(axis=-1)) / 2j
-        return phi, (z + zin) / 2j, (z - zin) / 2j
+        phi = z.sum(axis=0).imag + 0j
+        return phi, -1j * z.real, phi
     if spec.kind == BOOSTED:
         q = spec.q
-        bphi, bd, bd2 = _phi_terms(spec.base, params, z)
-        gq = z.prod(axis=-1) ** q
-        phi = gq * bphi
-        d = gq[..., None] * (q * bphi[..., None] + bd)
-        d2 = gq[..., None] * (q * q * bphi[..., None] + 2.0 * q * bd + bd2)
-        return phi, d, d2
+        bphi, bd, blap = _phi_terms(spec.base, params, xs, z)
+        gq = z.prod(axis=0) ** q
+        d = gq * (q * bphi + bd)
+        lap = gq * (n * q * q * bphi + 2.0 * q * bd.sum(axis=0) + blap)
+        return gq * bphi, d, lap
     if spec.kind == POLY:
-        phi = np.zeros(z.shape[:-1], dtype=complex)
+        phi = np.zeros(z.shape[1:], dtype=complex)
         d = np.zeros(z.shape, dtype=complex)
-        d2 = np.zeros(z.shape, dtype=complex)
+        lap = np.zeros(z.shape[1:], dtype=complex)
         for exps, coeff in spec.poly.terms.items():
-            mono = np.ones(z.shape[:-1], dtype=complex)
+            mono = np.full(z.shape[1:], complex(coeff))
             for j, e in enumerate(exps):
                 if e:
-                    mono = mono * z[..., j] ** e
-            cval = complex(coeff)
-            phi += cval * mono
+                    mono = mono * z[j] ** e
+            phi += mono
             for j, e in enumerate(exps):
                 if e:
-                    d[..., j] += cval * e * mono
-                    d2[..., j] += cval * e * e * mono
-        return phi, d, d2
+                    d[j] += e * mono
+                    lap += e * e * mono
+        return phi, d, lap
     raise AssertionError(spec.kind)
+
+
+def _phi_ratios(spec: StateSpec, params: ModelParams, xs: np.ndarray):
+    """(phi, D, lap, 1/phi, node mask) at sites-first positions.
+
+    The node mask marks configurations with |phi| below NODE_RTOL times
+    the state's magnitude scale; 1/phi there is replaced by 1 and the
+    ratios must be dropped.
+    """
+    phi, d, lap = _phi_terms(spec, params, xs)
+    nodes = np.abs(phi) < NODE_RTOL * phi_node_scale(spec, params)
+    return phi, d, lap, 1.0 / np.where(nodes, 1.0, phi), nodes
 
 
 def phi_eval_batch(spec: StateSpec, params: ModelParams, x: np.ndarray):
@@ -270,14 +334,9 @@ def phi_eval_batch(spec: StateSpec, params: ModelParams, x: np.ndarray):
     Node mask marks configurations with |phi| below NODE_RTOL times the
     state's magnitude scale; ratios there are invalid and must be dropped.
     """
-    z = _z(params, x)
-    phi, d, d2 = _phi_terms(spec, params, z)
-    nodes = np.abs(phi) < NODE_RTOL * phi_node_scale(spec, params)
-    safe = np.where(nodes, 1.0, phi)
+    phi, d, lap, inv, nodes = _phi_ratios(spec, params, _sites_first(x))
     w = 2j * math.pi / params.length
-    grad_ratio = w * d / safe[..., None]
-    lap_ratio = w * w * d2.sum(axis=-1) / safe
-    return phi, grad_ratio, lap_ratio, nodes
+    return phi, np.moveaxis(w * d * inv, 0, -1), w * w * lap * inv, nodes
 
 
 def phi_eval(spec: StateSpec, params: ModelParams, config: Configuration):

@@ -154,6 +154,8 @@ def test_nonfinite_parameter_rejected(flag):
     ["verify-ground", "--n", "6", "--r", "2", "--beta", "1e200"],
     ["spectrum", "--n", "6", "--r", "2", "--degree", "2", "--beta", "1e308"],
     ["verify-ground", "--n", "6", "--r", "2", "--length", "1e-310"],
+    ["params", "--n", "6", "--r", "2", "--beta", "1e150", "--length", "1e-150"],
+    ["verify-ground", "--n", "6", "--r", "2", "--beta", "1e150", "--length", "1e-150"],
 ])
 def test_overflowing_parameter_rejected(argv):
     assert "overflow" in assert_usage_error(*argv)

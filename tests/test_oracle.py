@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
 from tcsm.model import (
     cyclic_distance,
     derive_params,
     ground_energy_physical,
+    triple_offsets,
 )
 from tcsm.oracle import (
     FAIL,
     PASS,
     SamplingError,
+    _three_body_by_site,
     conversion_coefficient,
     conversion_factor,
     local_energy,
@@ -24,6 +28,7 @@ from tcsm.oracle import (
     to_reduced,
     verify_eigenstate,
 )
+from tcsm.polyalg import LaurentPoly
 from tcsm.wavefunction import (
     BOOSTED,
     COS_SUM,
@@ -33,11 +38,15 @@ from tcsm.wavefunction import (
     COMBO,
     GROUND,
     NONDEG_ZERO,
+    POLY,
     SIN_SUM,
     Configuration,
     NodeProximityError,
     StateSpec,
+    grad_log_psi0,
+    laplacian_ratio_psi0,
     min_cyclic_separation,
+    phi_eval_batch,
 )
 
 L = 2.0 * math.pi
@@ -72,6 +81,91 @@ def reference_potential(params, x):
                         )
                     )
     return v
+
+
+def sites_last_cot(params, x):
+    """Distance rows cot(pi (x_j - x_{j+d}) / L), shape (r_eff, ..., N), sites last."""
+    turns = [(x - np.roll(x, -d, axis=-1)) / params.length for d in range(1, params.r_eff + 1)]
+    return 1.0 / np.tan(math.pi * np.array(turns))
+
+
+def composed_local_energy(params, spec, x):
+    """(energy, node mask, sum of term magnitudes) from the public sites-last
+    evaluators and a potential summed one (s, t) offset pair at a time, kept
+    as the reference for the one-pass `local_energy_batch`."""
+    unit = (math.pi / params.length) ** 2
+    cot = sites_last_cot(params, x)
+    weights = np.where(2 * np.arange(1, params.r_eff + 1) == params.n, 0.5, 1.0)
+    csc2 = np.tensordot(weights, (1.0 + cot * cot).sum(axis=-1), axes=1)
+    three = [np.roll(cot[s - 1], s, axis=-1) * cot[t - 1] for s, t in triple_offsets(params)]
+    three_sum = sum((v.sum(axis=-1) for v in three), np.zeros(x.shape[:-1]))
+    three_mag = sum((np.abs(v).sum(axis=-1) for v in three), np.zeros(x.shape[:-1]))
+    potential = params.g * unit * csc2 - params.big_g * unit * three_sum
+    l0 = laplacian_ratio_psi0(params, x)
+    g0 = grad_log_psi0(params, x)
+    _, grad_ratio, lap_ratio, nodes = phi_eval_batch(spec, params, x)
+    cross = (g0 * grad_ratio).sum(axis=-1)
+    energy = -0.5 * (l0 + 2.0 * cross + lap_ratio) + potential
+    magnitude = (
+        0.5 * (g0 * g0).sum(axis=-1)
+        + (params.beta + abs(params.g)) * unit * csc2
+        + params.big_g * unit * three_mag
+        + np.abs(g0 * grad_ratio).sum(axis=-1)
+        + 0.5 * np.abs(lap_ratio)
+    )
+    return energy, nodes, magnitude
+
+
+def differential_states(n):
+    """Every state kind, boosts with q = -1, 1, 2, and a small Laurent polynomial."""
+    exps = [[0] * n for _ in range(3)]
+    exps[0][0], exps[0][-1] = 2, -1
+    exps[1][1] = 1
+    poly = LaurentPoly(n, {tuple(exps[0]): Fraction(3, 2), tuple(exps[1]): Fraction(-1, 3),
+                           tuple(exps[2]): Fraction(1)})
+    return [StateSpec(kind) for kind in (GROUND, E1, ENM1, EN, COMBO, COS_SUM, SIN_SUM, NONDEG_ZERO)] + [
+        StateSpec(BOOSTED, q=-1, base=StateSpec(ENM1)),
+        StateSpec(BOOSTED, q=1, base=StateSpec(COMBO)),
+        StateSpec(BOOSTED, q=2, base=StateSpec(E1)),
+        StateSpec(POLY, poly=poly),
+    ]
+
+
+def test_one_pass_local_energy_matches_composed_reference():
+    # r runs past N/2, so both regimes and every even N's antipodal row are
+    # met; the states take turns over the (N, r) grid, and each meets both
+    # regimes.  Tolerance, fixed in advance: 1e-12 of the sum of the terms'
+    # magnitudes, as the terms can cancel to a sum far below them.
+    seen = set()
+    for n in range(3, 41):
+        states = differential_states(n)
+        for r in range(1, n // 2 + 2):
+            p = derive_params(n, r, beta=1.5)
+            spec = states[(n + r) % len(states)]
+            seen.add((spec.label(), p.regime))
+            x = sample_positions(p, 8, seed=n + 100 * r)
+            got, nodes = local_energy_batch(p, spec, x)
+            want, want_nodes, magnitude = composed_local_energy(p, spec, x)
+            np.testing.assert_array_equal(nodes, want_nodes)
+            keep = ~nodes
+            err = np.abs(got[keep] - want[keep])
+            assert np.all(err <= 1e-12 * magnitude[keep]), (n, r, spec.label(), err / magnitude[keep])
+    assert len(seen) == 2 * len(differential_states(3))
+
+
+def test_three_body_grouping_matches_offset_loop():
+    # integer rows make both sums exact, so any missing or extra (s, t) shows;
+    # r runs past N/2, where the range of t is empty for every s
+    rng = np.random.default_rng(5)
+    for n in range(3, 41):
+        for r in range(1, n // 2 + 2):
+            p = derive_params(n, r)
+            cot = rng.integers(-8, 9, size=(p.r_eff, n, 3)).astype(float)
+            # each term held at its end j - s, as the grouped sum holds it
+            want = np.zeros((n, 3))
+            for s, t in triple_offsets(p):
+                want += cot[s - 1] * np.roll(cot[t - 1], -s, axis=0)
+            np.testing.assert_array_equal(_three_body_by_site(p, cot), want)
 
 
 def test_two_body_vanishes_at_beta_one():

@@ -23,6 +23,7 @@ from tcsm.wavefunction import (
     NodeProximityError,
     SeparationError,
     StateSpec,
+    _site_sum,
     grad_log_psi0,
     laplacian_ratio_psi0,
     log_psi0,
@@ -168,6 +169,15 @@ def test_pair_sums_match_index_array_reference():
             g, lap = grad_log_psi0(p, x), laplacian_ratio_psi0(p, x)
             assert np.abs(g - grad_ref).max() / (np.abs(grad_ref).max() + 1.0) < 1e-12, (n, r)
             assert np.abs(lap - lap_ref).max() / (np.abs(lap_ref).max() + 1.0) < 1e-12, (n, r)
+
+
+def test_site_sum_adds_every_site_once():
+    # integers keep the sums exact; odd lengths carry a site into the next halving
+    rng = np.random.default_rng(3)
+    for n in range(1, 18):
+        a = rng.integers(-1000, 1000, size=(n, 2, 3)).astype(float)
+        np.testing.assert_array_equal(_site_sum(a), a.sum(axis=0))
+        assert _site_sum(a[:, 0, 0]) == a[:, 0, 0].sum()
 
 
 @pytest.mark.parametrize(
