@@ -97,7 +97,7 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
         k = (3 * r + 1) - n if (2 * r + 2) <= n < (3 * r + 1) else 0
     else:
         k = None
-    return ModelParams(
+    params = ModelParams(
         n=n,
         r=r,
         length=float(length),
@@ -109,6 +109,9 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
         k=k,
         regime=regime,
     )
+    if not math.isfinite(ground_energy_physical(params)):  # G (pi/L)^2 times the coefficient
+        raise ParameterDomainError(f"the ground energy overflows at beta={beta!r}, L={length!r}")
+    return params
 
 
 def interaction_pairs(params: ModelParams) -> list[tuple[int, int]]:
@@ -188,8 +191,8 @@ def ground_energy_physical(params: ModelParams) -> float:
     return ground_energy_reduced(params) * (math.pi / params.length) ** 2
 
 
-def closed_form_levels(params: ModelParams, beta: float) -> dict[str, float]:
-    """The five known reduced levels eps - eps0 at a numeric beta.
+def closed_form_levels(params: ModelParams, beta):
+    """The five known reduced levels eps - eps0, exact for a Fraction beta.
 
     rho is the per-site drift weight (2r in the truncated regime), so the
     levels read 1+rho*beta, (N-1)+rho*beta, N, N+2(1+rho*beta), 2+2*rho*beta.
@@ -198,9 +201,9 @@ def closed_form_levels(params: ModelParams, beta: float) -> dict[str, float]:
     n = params.n
     rb = params.drift_weight * beta
     return {
-        "e1": 1.0 + rb,
-        "enm1": (n - 1.0) + rb,
-        "en": float(n),
-        "combo": n + 2.0 * (1.0 + rb),
-        "nondeg_zero": 2.0 + 2.0 * rb,
+        "e1": 1 + rb,
+        "enm1": (n - 1) + rb,
+        "en": n,
+        "combo": n + 2 * (1 + rb),
+        "nondeg_zero": 2 + 2 * rb,
     }

@@ -286,6 +286,7 @@ class ResidualReport:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite statistic
 def verify_eigenstate(
     params: ModelParams,
     spec: StateSpec,
@@ -321,6 +322,10 @@ def verify_eigenstate(
     stddev = float(re.std())
     max_dev = float(np.abs(re - mean).max())
     imag_ratio = float(np.abs(energies.imag).max() / (np.abs(mean) + 1.0))
+    if not all(map(math.isfinite, (mean, stddev, max_dev, imag_ratio))):
+        raise ParameterDomainError(
+            f"the local energy or its spread overflows at beta={params.beta!r}, L={params.length!r}"
+        )
     c0 = conversion_coefficient()
     reduced = to_reduced(params, mean)
     ok = stddev / (abs(mean) + 1.0) < tol and imag_ratio <= IMAG_RATIO_TOL

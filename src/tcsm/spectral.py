@@ -15,7 +15,8 @@ symmetric polynomials only into cyclic-invariant ones, so each degree
 block is a rectangular pencil (A0 + beta A1) v = lambda E v with E the
 exact embedding of the symmetric basis into the cyclic-invariant basis.
 `build_pencil` reads sparse A1 rows and the row -> partition index that
-fixes A0 and E off the basis labels in integers.
+fixes A0 and E off the basis labels in integers.  Each block is triangular
+in dominance order, so `solve_pencil` solves it exactly, with no threshold.
 `apply_H1` applies the operator to one polynomial, behind the exact eigen,
 parity and boost checks: it clears denominators once, forms the diagonal
 and each pair's drift numerator in integers, makes one exact division per
@@ -25,11 +26,10 @@ operations are its reference in the tests.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
+from math import gcd, lcm, pi
 
 from .model import ModelParams, ParameterDomainError, closed_form_levels, interaction_pairs
 from .polyalg import (
@@ -40,9 +40,6 @@ from .polyalg import (
     basis,
     exact_divide,
 )
-
-CERT_TOL = 1e-10
-SPURIOUS_FLOOR = 1e-4
 
 
 class PencilError(RuntimeError):
@@ -142,6 +139,19 @@ def _partition(exps) -> tuple[int, ...]:
     return tuple(sorted((e for e in exps if e), reverse=True))
 
 
+def _split_run(lam: tuple[int, ...], low: int, high: int, index: dict) -> list[tuple[int, int]]:
+    """(column, weight) of each split of a pair (low, high) in partition lam."""
+    rest = list(lam)
+    for part in filter(None, (low, high)):
+        rest.remove(part)
+    total = low + high
+    return [
+        (index[_partition(rest + [total - lo, lo])], (total - 2 * lo) * (1 if lo == low else 2))
+        for lo in range(low + 1)
+        if 2 * lo != total
+    ]
+
+
 def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     """Degree-d block read off the basis labels, in integers.
 
@@ -151,9 +161,10 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     So row rho of A1 gains (m - n) * w for every split m + n = rho_a + rho_b
     with n <= min(rho_a, rho_b), where w is 1 at the ends of the run
     (n = min(rho_a, rho_b)) and 2 inside it; the column is the partition of
-    rho with (rho_a, rho_b) replaced by (m, n).  Each symmetric element is a
-    sum of flat cyclic orbit sums, so E and A0 follow from each row's
-    partition.
+    rho with (rho_a, rho_b) replaced by (m, n).  That run depends only on
+    rho's partition and the pair's two values, so each is built once.  Each
+    symmetric element is a sum of flat cyclic orbit sums, so E and A0 follow
+    from each row's partition.
     """
     if degree < 1:
         raise ParameterDomainError("degree must be >= 1")
@@ -161,100 +172,106 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     sym = basis(SYMMETRIC, n, degree)
     cyc = basis(CYCLIC, n, degree)
     index = {lam: j for j, lam in enumerate(sym.labels)}
+    column = tuple(index[_partition(rho)] for rho in cyc.labels)
+    runs: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     rows = []
-    for rho in cyc.labels:
+    for rho, k in zip(cyc.labels, column):
         row: dict[int, int] = {}
         for a, b in op.drift_pairs:
-            low, total = min(rho[a], rho[b]), rho[a] + rho[b]
-            for lo in range(low + 1):
-                hi = total - lo
-                if hi == lo:
-                    continue
-                source = list(rho)
-                source[a], source[b] = hi, lo
-                j = index[_partition(source)]
-                row[j] = row.get(j, 0) + (hi - lo) * (1 if lo == low else 2)
+            x, y = rho[a], rho[b]
+            key = (k, x, y) if x <= y else (k, y, x)
+            run = runs.get(key)
+            if run is None:
+                run = runs[key] = _split_run(sym.labels[k], key[1], key[2], index)
+            for j, w in run:
+                row[j] = row.get(j, 0) + w
         rows.append(row)
-    return PencilBlock(
-        degree=degree,
-        sym_basis=sym,
-        cyc_basis=cyc,
-        column=tuple(index[_partition(rho)] for rho in cyc.labels),
-        a1=tuple(rows),
-    )
+    return PencilBlock(degree=degree, sym_basis=sym, cyc_basis=cyc, column=column, a1=tuple(rows))
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    value: complex
-    vector: tuple[complex, ...]  # symmetric-basis coordinates
-    residual: float
-
-    def real_value(self) -> float:
-        return float(self.value.real)
+    value: Fraction
+    vector: tuple[Fraction, ...]  # symmetric-basis coordinates, first nonzero one 1
 
 
 @dataclass(frozen=True)
 class PencilSolution:
-    degree: int
-    beta_value: float
-    certified: tuple[EigenPair, ...]
-    spurious: tuple[EigenPair, ...]
-    ambiguous: tuple[EigenPair, ...]
+    certified: tuple[EigenPair, ...]  # one pair per eigenspace basis vector
+    spurious: tuple[Fraction, ...]  # eigenvalues of E^+ A that are not pencil levels
+    ambiguous: tuple = ()  # always empty: no threshold is left to leave a pair undecided
 
 
-def solve_pencil(block: PencilBlock, beta_value: float, tol: float = CERT_TOL) -> PencilSolution:
-    """Candidate pairs from the least-squares square operator E^+ A; each is
-    certified by its true full-space residual ||Av - lambda Ev|| / ||Ev||.
-    Ev is v[column], and E^+ A averages A's rows over each column's run."""
-    if not 0 < tol < SPURIOUS_FLOOR:
-        raise ParameterDomainError(f"need 0 < tol < {SPURIOUS_FLOOR}, got {tol!r}")
-    column = np.array(block.column)
-    diag = np.array([sum(x * x for x in lam) for lam in block.sym_basis.labels], dtype=float)
-    a1 = np.zeros((block.dim_cyc, block.dim_sym))
-    for row, entries in enumerate(block.a1):
-        a1[row, list(entries)] = list(entries.values())
-    runs = np.bincount(column)
-    starts = np.cumsum(runs) - runs
-    m = np.diag(diag) + beta_value * np.add.reduceat(a1, starts) / runs[:, None]
-    w, vecs = np.linalg.eig(m)
-    pairs = []
-    for i in range(len(w)):
-        v = vecs[:, i]
-        ev = v[column]
-        av = diag[column] * ev + beta_value * (a1 @ v)
-        res = float(np.linalg.norm(av - w[i] * ev) / np.linalg.norm(ev))
-        pairs.append(EigenPair(value=complex(w[i]), vector=tuple(v.tolist()), residual=res))
-    pairs.sort(key=lambda pr: (pr.value.real, pr.value.imag))
-    certified = tuple(pr for pr in pairs if pr.residual < tol)
-    spurious = tuple(pr for pr in pairs if pr.residual > SPURIOUS_FLOOR)
-    ambiguous = tuple(pr for pr in pairs if tol <= pr.residual <= SPURIOUS_FLOOR)
-    return PencilSolution(
-        degree=block.degree,
-        beta_value=beta_value,
-        certified=certified,
-        spurious=spurious,
-        ambiguous=ambiguous,
-    )
+def solve_pencil(block: PencilBlock, beta_value) -> PencilSolution:
+    """Every level of (A0 + beta A1) v = lambda E v, with its eigenspace, exactly.
+
+    A split moves a pair's exponents apart, so row rho of A1 reaches only
+    partitions dominating sort rho, at or before column[rho] in reverse lex
+    order.  So an eigenvector's first nonzero coordinate k fixes
+    lambda = D_k + beta A1[rho, k] on every row rho of k: the partitions
+    whose rows agree there (heads) give every level.  From a level's first
+    head, each partition in turn adds its coordinate to the span of
+    solutions, and each of its rows that does not vanish there cuts it by
+    one dimension; beta = p/q and each row is scaled by q, in integers.
+    """
+    beta = Fraction(beta_value)
+    p, q = beta.numerator, beta.denominator
+    diag = [sum(x * x for x in lam) for lam in block.sym_basis.labels]
+    size, own = [0] * len(diag), [0] * len(diag)  # rows per partition, their sum of A1[rho, k]
+    # each partition's rows, a row equal to the one before it once: in the
+    # full regime all rows of a partition are equal
+    runs: list[list[dict[int, int]]] = [[] for _ in diag]
+    for k, row in zip(block.column, block.a1):
+        size[k] += 1
+        own[k] += row.get(k, 0)
+        if not runs[k] or runs[k][-1] != row:
+            runs[k].append(row)
+    heads: dict[int, list[int]] = {}  # q * level -> its heads
+    for k, rows in enumerate(runs):
+        if len({p * row.get(k, 0) for row in rows}) == 1:
+            heads.setdefault(q * diag[k] + p * rows[0].get(k, 0), []).append(k)
+    certified = []
+    for level, ks in sorted(heads.items()):
+        for v in _eigenspace(runs, diag, p, q, level, ks):
+            lead = next(c for c in v if c)
+            certified.append(EigenPair(Fraction(level, q), tuple(Fraction(c, lead) for c in v)))
+    # E^+ A averages each partition's rows, so it is lower triangular too
+    square = Counter(Fraction(q * d * m + p * a, q * m) for d, m, a in zip(diag, size, own))
+    square.subtract(pr.value for pr in certified)
+    return PencilSolution(certified=tuple(certified), spurious=tuple(sorted(square.elements())))
+
+
+def _eigenspace(runs, diag, p: int, q: int, level: int, heads: list[int]) -> list[list[int]]:
+    """Integer basis of the eigenspace at lambda = level / q.  Once the span
+    is empty, only a later head of the level can start it again."""
+    dim = len(diag)
+    span: list[list[int]] = []
+    for k in range(heads[0], dim):
+        if not span and k > heads[-1]:
+            break
+        span.append([int(j == k) for j in range(dim)])
+        shift = q * diag[k] - level
+        for row in runs[k]:
+            values = [shift * v[k] + p * sum(a * v[j] for j, a in row.items()) for v in span]
+            cut = max((t for t, x in enumerate(values) if x), default=None)
+            if cut is not None:
+                x, pv = values.pop(cut), span.pop(cut)
+                span = [_primitive([x * c - y * d for c, d in zip(v, pv)]) if y else v
+                        for v, y in zip(span, values)]
+    return span
+
+
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return v if g in (0, 1) else [c // g for c in v]
 
 
 def vector_poly(block: PencilBlock, vector) -> LaurentPoly:
-    """Assemble a symmetric-coordinate vector into a polynomial.
-
-    The vector is rescaled by its largest coordinate, then coordinates are
-    rounded to nearby rationals (max denominator 10^6) so certified
-    eigenvectors can feed the exact paths.
-    """
-    coords = np.asarray(vector, dtype=complex)
-    pivot = coords[np.argmax(np.abs(coords))]
-    coords = coords / pivot
+    """Assemble exact symmetric-basis coordinates into a polynomial."""
     out = LaurentPoly.zero(block.sym_basis.nvars)
-    for coord, el in zip(coords, block.sym_basis.elements):
-        if abs(coord) < 1e-9:
-            continue
-        frac = Fraction(float(coord.real)).limit_denominator(10**6)
-        if frac:
-            out = out + el.scale(frac)
+    for coord, el in zip(vector, block.sym_basis.elements):
+        if coord:
+            out = out + el.scale(Fraction(coord))
     return out
 
 
@@ -263,11 +280,11 @@ class SpectrumReport:
     degree: int
     beta_value: float
     basis_dims: tuple[int, int]  # (symmetric, cyclic)
-    eigenvalues: tuple[tuple[float, int, float], ...]  # (lambda, multiplicity, residual)
-    matched_levels: dict = field(default_factory=dict)
+    eigenvalues: tuple[tuple[Fraction, int], ...]  # (lambda, multiplicity), ascending
+    matched_levels: dict = field(default_factory=dict)  # level name -> lambda
     momentum: float = 0.0
     n_spurious: int = 0
-    n_ambiguous: int = 0
+    n_ambiguous: int = 0  # always 0, kept for the output schema
 
     def to_dict(self) -> dict:
         return {
@@ -276,45 +293,28 @@ class SpectrumReport:
             "dim_symmetric": self.basis_dims[0],
             "dim_cyclic": self.basis_dims[1],
             "eigenvalues": [
-                {"value": v, "multiplicity": m, "residual": r} for v, m, r in self.eigenvalues
+                {"value": float(v), "multiplicity": m} for v, m in self.eigenvalues
             ],
-            "matched_levels": self.matched_levels,
+            "matched_levels": {name: float(v) for name, v in self.matched_levels.items()},
             "momentum_reduced": self.momentum,
             "spurious_pairs": self.n_spurious,
             "ambiguous_pairs": self.n_ambiguous,
         }
 
 
-def spectrum_report(
-    op: H1Operator, degree: int, beta_value: float, tol: float = CERT_TOL
-) -> SpectrumReport:
+def spectrum_report(op: H1Operator, degree: int, beta_value: float) -> SpectrumReport:
     block = build_pencil(op, degree)
-    sol = solve_pencil(block, beta_value, tol)
-    # group certified values
-    grouped: list[list[EigenPair]] = []
-    for pr in sol.certified:
-        if grouped and abs(pr.value - grouped[-1][0].value) < 1e-7 * (1 + abs(pr.value)):
-            grouped[-1].append(pr)
-        else:
-            grouped.append([pr])
-    eigenvalues = tuple(
-        (float(g[0].value.real), len(g), max(pr.residual for pr in g)) for g in grouped
-    )
-    levels = closed_form_levels(op.params, beta_value)
-    matched = {}
-    for name, val in levels.items():
-        hits = [ev for ev, _, _ in eigenvalues if abs(ev - val) < 1e-8 * (1 + abs(val))]
-        if hits:
-            matched[name] = hits[0]
+    sol = solve_pencil(block, beta_value)
+    counts = Counter(pr.value for pr in sol.certified)
+    levels = closed_form_levels(op.params, Fraction(beta_value))
     return SpectrumReport(
         degree=degree,
         beta_value=beta_value,
         basis_dims=(block.dim_sym, block.dim_cyc),
-        eigenvalues=eigenvalues,
-        matched_levels=matched,
-        momentum=float(degree) * 2.0 * np.pi / op.params.length,
+        eigenvalues=tuple(counts.items()),
+        matched_levels={name: val for name, val in levels.items() if val in counts},
+        momentum=float(degree) * 2.0 * pi / op.params.length,
         n_spurious=len(sol.spurious),
-        n_ambiguous=len(sol.ambiguous),
     )
 
 

@@ -155,7 +155,7 @@ def test_criterion_5_excited_levels_exact():
         for degree, (poly, expected) in levels.items():
             ok &= exact_eigencheck(op, poly, ONE) == expected
         for degree in (1, n - 1, n):
-            sol = solve_pencil(build_pencil(op, degree), 1.0, tol=1e-10)
+            sol = solve_pencil(build_pencil(op, degree), 1.0)
             certified = {round(pr.value.real, 6) for pr in sol.certified}
             wanted = {lvl for d, (_, lvl) in levels.items() if d == degree}
             if degree == n:

@@ -156,6 +156,16 @@ def test_nonfinite_parameter_rejected(flag):
     ["verify-ground", "--n", "6", "--r", "2", "--length", "1e-310"],
     ["params", "--n", "6", "--r", "2", "--beta", "1e150", "--length", "1e-150"],
     ["verify-ground", "--n", "6", "--r", "2", "--beta", "1e150", "--length", "1e-150"],
+    # G (pi/L)^2 finite, the ground energy 20 G (pi/L)^2 not
+    ["params", "--n", "6", "--r", "2", "--beta", "1e150", "--length", "1e-3"],
+    ["verify-ground", "--n", "6", "--r", "2", "--beta", "1e150", "--length", "1e-3",
+     "--samples", "50"],
+    # the ground energy finite, the local energy not
+    ["verify-ground", "--n", "6", "--r", "2", "--beta", "1e150", "--length", "1e-2",
+     "--samples", "50"],
+    # every local energy finite, their spread not
+    ["verify-excited", "--n", "6", "--r", "2", "--state", "e1", "--beta", "1e150",
+     "--length", "1e-1", "--samples", "50"],
 ])
 def test_overflowing_parameter_rejected(argv):
     assert "overflow" in assert_usage_error(*argv)
@@ -190,13 +200,13 @@ def test_bad_oracle_tol_rejected(tol):
     assert "tol" in message
 
 
-# tol must stay below the spurious floor, 1e-4: an infinite tol certified
-# every spurious pair
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1e-4"])
+# the spectrum is exact, so no tolerance decides it: spectrum has no --tol
+# flag, and any value, the old default 1e-10 included, is an unknown argument
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "1e-4", "1e-10"])
 def test_bad_spectrum_tol_rejected(tol):
     message = assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "4",
                                  "--tol", tol)
-    assert "tol" in message
+    assert "unrecognized arguments: --tol" in message
 
 
 def test_table1_has_no_tol_flag():

@@ -55,6 +55,7 @@ def test_coupling_relations():
         dict(n=6, r=2, beta=1e308),
         dict(n=6, r=2, length=1e-310),  # (pi/L)^2 overflows
         dict(n=6, r=2, beta=1e150, length=1e-150),  # each factor finite, G (pi/L)^2 overflows
+        dict(n=6, r=2, beta=1e150, length=1e-3),  # G (pi/L)^2 finite, the ground energy not
     ],
 )
 def test_domain_rejection(bad):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fractions import Fraction
 
 from tcsm.model import (
+    ParameterDomainError,
     cyclic_distance,
     derive_params,
     ground_energy_physical,
@@ -310,6 +312,19 @@ def test_reduced_levels_e1():
                                predicted=predicted_physical(StateSpec(E1), p))
     assert report.verdict == PASS
     assert report.reduced_mean == pytest.approx(5.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("spec, length", [
+    (StateSpec(GROUND), 1e-2),  # the local energy overflows
+    (StateSpec(E1), 1e-1),  # every local energy finite, their spread not
+])
+def test_overflowing_local_energy_rejected(spec, length):
+    p = derive_params(6, 2, length=length, beta=1e150)
+    assert math.isfinite(ground_energy_physical(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterDomainError, match="overflows"):
+            verify_eigenstate(p, spec, count=50, seed=1)
 
 
 def test_table_conflict_adjudication():

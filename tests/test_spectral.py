@@ -1,9 +1,12 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +28,7 @@ from tcsm.polyalg import (
 from tcsm.spectral import (
     BoostCheck,
     H1Operator,
+    PencilBlock,
     PencilError,
     apply_H1,
     boost_shift_check,
@@ -248,6 +252,9 @@ def test_pencil_rows(n):
             assert set(block.column) == set(range(block.dim_sym))
             rows = dict(zip(block.cyc_basis.labels, block.a1))
             for rho, j, row in zip(block.cyc_basis.labels, block.column, block.a1):
+                # splits move exponents apart: the row reaches only partitions
+                # dominating sort rho, which come first in reverse lex order
+                assert max(row) <= j
                 assert row.get(j, 0) == sum(abs(rho[a] - rho[b]) for a, b in op.drift_pairs)
                 assert rows[cyclic_representative(rho[::-1])] == row
 
@@ -258,7 +265,7 @@ def test_pencil_d1():
     assert block.dim_sym == block.dim_cyc == 1
     sol = solve_pencil(block, 1.0)
     assert len(sol.certified) == 1
-    assert sol.certified[0].value.real == pytest.approx(5.0, abs=1e-12)
+    assert sol.certified[0].value == 5
 
 
 def test_pencil_beta_dependence():
@@ -266,7 +273,7 @@ def test_pencil_beta_dependence():
     block = build_pencil(op, 1)
     for beta in (0.5, 2.5):
         sol = solve_pencil(block, beta)
-        assert sol.certified[0].value.real == pytest.approx(1 + 4 * beta, rel=1e-12)
+        assert sol.certified[0].value == 1 + 4 * Fraction(beta)
 
 
 def test_golden_spectrum_n6_r2():
@@ -275,7 +282,7 @@ def test_golden_spectrum_n6_r2():
     for entry in golden:
         rep = spectrum_report(op, entry["degree"], 1.0)
         assert rep.basis_dims == (entry["dim_symmetric"], entry["dim_cyclic"])
-        got = [(round(v, 9), m) for v, m, _ in rep.eigenvalues]
+        got = [(round(v, 9), m) for v, m in rep.eigenvalues]
         want = [(e["value"], e["multiplicity"]) for e in entry["eigenvalues"]]
         assert got == want
         assert {k: round(v, 9) for k, v in rep.matched_levels.items()} == entry["matched_levels"]
@@ -283,11 +290,112 @@ def test_golden_spectrum_n6_r2():
         assert rep.n_spurious == entry["spurious_pairs"]
 
 
-def test_spurious_pairs_well_separated():
-    op = operator(6, 2)
-    for d in range(1, 7):
-        sol = solve_pencil(build_pencil(op, d), 1.0)
-        assert not sol.ambiguous
+def _float_judge(block, beta_value):
+    """The float solve that the exact one replaced, kept as a reference:
+    eigenpairs of the square operator E^+ A, certified by their residual
+    ||Av - lambda Ev|| / ||Ev|| below 1e-10 and rejected above 1e-4.
+    Returns ((value, multiplicity), ...) of the certified values grouped at
+    1e-7, and the rejected and undecided pair counts."""
+    column = np.array(block.column)
+    diag = np.array([sum(x * x for x in lam) for lam in block.sym_basis.labels], dtype=float)
+    a1 = np.zeros((block.dim_cyc, block.dim_sym))
+    for row, entries in enumerate(block.a1):
+        a1[row, list(entries)] = list(entries.values())
+    runs = np.bincount(column)
+    starts = np.cumsum(runs) - runs
+    w, vecs = np.linalg.eig(np.diag(diag) + beta_value * np.add.reduceat(a1, starts) / runs[:, None])
+    certified, rejected, undecided = [], 0, 0
+    for value, v in sorted(zip(w, vecs.T), key=lambda pair: (pair[0].real, pair[0].imag)):
+        ev = v[column]
+        av = diag[column] * ev + beta_value * (a1 @ v)
+        res = np.linalg.norm(av - value * ev) / np.linalg.norm(ev)
+        if res < 1e-10:
+            if certified and abs(value - certified[-1][0]) < 1e-7 * (1 + abs(value)):
+                certified[-1][1] += 1
+            else:
+                certified.append([value.real, 1])
+        elif res > 1e-4:
+            rejected += 1
+        else:
+            undecided += 1
+    return tuple(map(tuple, certified)), rejected, undecided
+
+
+# both regimes; (6, 3) and (7, 3) at d = 6 have two-dimensional eigenspaces
+@pytest.mark.parametrize("n, r", [(n, r) for n in range(3, 8) for r in range(1, n // 2 + 2)])
+def test_exact_solve_matches_float_judge(n, r):
+    op = operator(n, r)
+    for degree in range(1, min(n, 6) + 1):
+        block = build_pencil(op, degree)
+        for beta in (1.0, 0.3, 2.5):
+            sol = solve_pencil(block, beta)
+            want, rejected, undecided = _float_judge(block, beta)
+            got = tuple(Counter(pr.value for pr in sol.certified).items())
+            assert undecided == 0
+            assert [m for _, m in got] == [m for _, m in want]
+            assert [float(v) for v, _ in got] == pytest.approx([v for v, _ in want], rel=1e-9)
+            assert len(sol.spurious) == rejected
+            assert sol.ambiguous == ()
+
+
+def test_full_regime_levels_are_jack_values():
+    # r >= c: every partition lambda gives one level,
+    # sum_j lambda_j^2 + beta sum_j (N + 1 - 2j) lambda_j, and nothing is spurious
+    for n, r in [(4, 2), (5, 2), (6, 3), (7, 4)]:
+        op = operator(n, r)
+        for degree in range(1, 7):
+            block = build_pencil(op, degree)
+            for beta in (ONE, Fraction(3, 10), Fraction(5, 2)):
+                sol = solve_pencil(block, beta)
+                want = Counter(
+                    sum(x * x + beta * (n - 1 - 2 * j) * x for j, x in enumerate(lam))
+                    for lam in block.sym_basis.labels
+                )
+                assert Counter(pr.value for pr in sol.certified) == want
+                assert sol.spurious == ()
+
+
+def test_later_head_restarts_an_emptied_span():
+    # a hand-made lower-triangular block, D = 9, 5, 3 over three partitions:
+    # the level 9 of head (3) dies on the disagreeing rows of (2, 1), and
+    # head (1, 1, 1), at 3 + 6 = 9 too, carries the eigenvector alone
+    block = PencilBlock(
+        degree=3,
+        sym_basis=SimpleNamespace(labels=[(3,), (2, 1), (1, 1, 1)]),
+        cyc_basis=None,
+        column=(0, 1, 1, 2),
+        a1=({}, {1: 1}, {0: 1, 1: 2}, {2: 6}),
+    )
+    sol = solve_pencil(block, 1)
+    assert [(pr.value, pr.vector) for pr in sol.certified] == [(9, (0, 0, 1))]
+    assert sol.spurious == (Fraction(13, 2), 9)  # the diagonal of E^+ A, less the level
+
+
+def _assert_exact_eigenvectors(op, block, pairs, beta):
+    for pr in pairs:
+        assert all(type(c) is Fraction for c in pr.vector)
+        assert exact_eigencheck(op, vector_poly(block, pr.vector), beta) == pr.value
+
+
+def test_pencil_vectors_are_exact_eigenvectors():
+    for n, r, beta, degrees in [
+        (6, 2, ONE, range(1, 7)),
+        (7, 2, Fraction(3, 10), range(1, 7)),
+        (5, 1, Fraction(3, 10), range(1, 7)),
+        (6, 3, Fraction(5, 2), range(1, 5)),  # full regime
+    ]:
+        op = operator(n, r)
+        for degree in degrees:
+            block = build_pencil(op, degree)
+            _assert_exact_eigenvectors(op, block, solve_pencil(block, beta).certified, beta)
+    # each basis vector of the two-dimensional eigenspaces of (6, 3) at d = 6
+    op = operator(6, 3)
+    block = build_pencil(op, 6)
+    sol = solve_pencil(block, ONE)
+    counts = Counter(pr.value for pr in sol.certified)
+    shared = [pr for pr in sol.certified if counts[pr.value] == 2]
+    assert len(shared) == 4
+    _assert_exact_eigenvectors(op, block, shared, ONE)
 
 
 def test_certified_vector_matches_oracle():
@@ -364,8 +472,36 @@ def test_closed_form_levels_full_regime_uses_drift_weight():
     params = derive_params(7, 3, beta=1.0)
     levels = closed_form_levels(params, 1.0)
     assert levels["e1"] == pytest.approx(1 + 6)
+    assert closed_form_levels(params, ONE)["e1"] == 7
     op = H1Operator.build(params)
     assert exact_eigencheck(op, elementary_symmetric(1, 7), ONE) == 7
+
+
+def test_closed_form_levels_follow_beta_type():
+    # exact for a Fraction beta, and the same floats as before for a float one
+    params = derive_params(6, 2, beta=0.3)
+    exact = closed_form_levels(params, Fraction(3, 10))
+    assert exact == {
+        "e1": Fraction(11, 5), "enm1": Fraction(31, 5), "en": 6,
+        "combo": Fraction(52, 5), "nondeg_zero": Fraction(22, 5),
+    }
+    assert all(isinstance(v, (int, Fraction)) for v in exact.values())
+    rb = 4 * 0.3
+    assert closed_form_levels(params, 0.3) == {
+        "e1": 1.0 + rb, "enm1": 5.0 + rb, "en": 6.0, "combo": 6 + 2.0 * (1.0 + rb),
+        "nondeg_zero": 2.0 + 2.0 * rb,
+    }
+
+
+def test_spectrum_report_matches_levels_exactly():
+    # at beta = 0.3 the levels are exact in the binary value of 0.3, and
+    # the report matches them by equality, with no tolerance
+    op = operator(6, 2, beta=0.3)
+    rep = spectrum_report(op, 6, 0.3)
+    rb = 4 * Fraction(0.3)
+    assert rep.matched_levels == {"en": 6, "combo": 6 + 2 * (1 + rb)}
+    assert [v for v, _ in rep.eigenvalues] == [6, 6 + 2 * (1 + rb)]
+    assert rep.to_dict()["matched_levels"] == {"en": 6.0, "combo": float(6 + 2 * (1 + rb))}
 
 
 def test_momentum_degree_relation():
