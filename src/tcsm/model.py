@@ -88,7 +88,7 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
             f"g, G, (pi/L)^2 or an energy scale G (pi/L)^2 overflows at beta={beta!r}, L={length!r}"
         )
 
-    c = n // 2 if n % 2 == 0 else (n - 1) // 2
+    c = n // 2
     regime = FULL if r >= c else TRUNCATED
     r_eff = min(r, n // 2)
     if regime == TRUNCATED:

@@ -8,7 +8,7 @@ is configuration-independent, and the constant is the eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,9 @@ from .model import (
 )
 from .wavefunction import (
     BOOSTED,
-    COMBO,
     COS_SUM,
     E1,
-    EN,
-    ENM1,
     GROUND,
-    NONDEG_ZERO,
     SIN_SUM,
     Configuration,
     StateSpec,
@@ -35,6 +31,7 @@ from .wavefunction import (
     _phi_ratios,
     _site_sum,
     _sites_first,
+    _terms,
     csc2_by_site,
     grad_log_psi0,  # noqa: F401  re-exported: perfbench reads oracle.grad_log_psi0
     min_cyclic_separation,
@@ -198,19 +195,11 @@ def to_reduced(params: ModelParams, energy: float) -> float:
 
 
 def state_degree(spec: StateSpec, n: int) -> int | None:
-    """Homogeneous degree of phi in z, or None if mixed."""
-    if spec.kind == E1:
-        return 1
-    if spec.kind == ENM1:
-        return n - 1
-    if spec.kind in (EN, COMBO):
-        return n
-    if spec.kind in (GROUND, NONDEG_ZERO):
-        return 0
-    if spec.kind == BOOSTED:
-        d = state_degree(spec.base, n)
-        return None if d is None else d + n * spec.q
-    return None  # cos/sin sums mix degrees +-1
+    """Homogeneous degree of phi in z, or None if mixed: each term
+    e1^a conj(e1)^b G^m of `wavefunction._terms` has degree a - b + N m,
+    whatever its coefficient, so c is left at 0."""
+    degrees = {a - b + n * m for _, a, b, m in _terms(spec, 0.0) or ()}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def predicted_reduced_level(spec: StateSpec, params: ModelParams) -> float | None:
@@ -265,7 +254,6 @@ class ResidualReport:
     unit_note: str
     node_rejections: int = 0
     tol: float = 1e-8
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -282,7 +270,6 @@ class ResidualReport:
             "unit_note": self.unit_note,
             "node_rejections": self.node_rejections,
             "tol": self.tol,
-            **self.extras,
         }
 
 

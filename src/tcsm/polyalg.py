@@ -131,14 +131,8 @@ class LaurentPoly:
             return degs.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self.terms}) <= 1
-
     def min_exponent(self) -> int:
         return min((min(e) for e in self.terms), default=0)
-
-    def max_exponent(self) -> int:
-        return max((max(e) for e in self.terms), default=0)
 
     # -- calculus / substitution --------------------------------------
     def apply_D(self, j: int) -> "LaurentPoly":

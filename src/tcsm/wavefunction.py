@@ -1,14 +1,17 @@
 """Ground-state amplitude and symmetric excitation factors.
 
 All evaluation is log-domain and vectorized.  The public functions take
-position arrays of shape (..., N) and broadcast over the leading axes.
-Inside, every kernel works sites first, on (N, ...) arrays (`_sites_first`):
-pair sums run over one row per cyclic distance (`pair_cot`, shape
-(r_eff, N, ...)), a shift to a partner site moves whole rows, and sums over
-sites are taken pairwise (`_site_sum`).  The public functions move the site
-axis only at their boundary.  Two independent differentiation paths exist
-for every quantity: the analytic formulas here and the second-order
-dual-number path in `dual_paths`.
+position arrays of shape (..., N), broadcast over the leading axes and move
+the site axis only at their boundary.  Inside, every kernel works sites
+first, on (N, ...) arrays (`_sites_first`): pair sums run over one row per
+cyclic distance (`pair_cot`, shape (r_eff, N, ...)), a shift to a partner
+site moves whole rows, and sums over sites are taken pairwise (`_site_sum`).
+Each named excitation factor is one short list of terms
+coeff * e1^a * conj(e1)^b * G^m (`_terms`); one product-rule evaluator
+(`_phi_terms`) differentiates every list, and the node scale and the degree
+are read off it.  Two independent differentiation paths exist for every
+quantity: the analytic formulas here and the second-order dual-number path
+in `dual_paths`.
 """
 
 from __future__ import annotations
@@ -227,83 +230,68 @@ def _z(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     return z
 
 
+def _unboost(spec: StateSpec) -> tuple[StateSpec, int]:
+    """The spec under every boost and the total q: boosts multiply phi by G^q, so nested ones add."""
+    q = 0
+    while spec.kind == BOOSTED:
+        spec, q = spec.base, q + spec.q
+    return spec, q
+
+
+def _constant(params: ModelParams) -> float:
+    """c = N / (1 + rho beta), the constant of the combo and kappa = 0 states."""
+    return params.n / (1.0 + params.drift_weight * params.beta)
+
+
+def _terms(spec: StateSpec, c: float) -> list[tuple[complex, int, int, int]] | None:
+    """phi as terms (coeff, a, b, m), each coeff * e1^a * conj(e1)^b * G^m with
+    a, b in {0, 1}: e1 = sum z, conj(e1) = sum 1/z on |z| = 1 and G = prod z.
+    A boost by q adds q to every m.  None for 'poly'."""
+    base, q = _unboost(spec)
+    table = {
+        GROUND: [(1.0, 0, 0, 0)],
+        E1: [(1.0, 1, 0, 0)],
+        ENM1: [(1.0, 0, 1, 1)],
+        EN: [(1.0, 0, 0, 1)],
+        COMBO: [(1.0, 1, 1, 1), (-c, 0, 0, 1)],
+        NONDEG_ZERO: [(1.0, 1, 1, 0), (-c, 0, 0, 0)],
+        COS_SUM: [(0.5, 1, 0, 0), (0.5, 0, 1, 0)],
+        SIN_SUM: [(-0.5j, 1, 0, 0), (0.5j, 0, 1, 0)],
+    }.get(base.kind)
+    return None if table is None else [(k, a, b, m + q) for k, a, b, m in table]
+
+
 def phi_node_scale(spec: StateSpec, params: ModelParams) -> float:
-    """Magnitude scale of phi on |z|=1, used for node detection."""
-    n = params.n
-    rho = params.drift_weight
-    if spec.kind in (GROUND, EN):
-        return 1.0
-    if spec.kind in (E1, ENM1, COS_SUM, SIN_SUM):
-        return float(n)
-    if spec.kind in (COMBO, NONDEG_ZERO):
-        return float(n * n + n / (1.0 + rho * params.beta))
-    if spec.kind == BOOSTED:
-        return phi_node_scale(spec.base, params)
-    if spec.kind == POLY:
-        return float(sum(abs(float(c)) for c in spec.poly.terms.values()))
-    raise AssertionError(spec.kind)
+    """Magnitude scale of phi on |z|=1, used for node detection: the sum of
+    |coeff| N^(a + b) over its terms, as |e1| and |conj(e1)| are at most N."""
+    terms = _terms(spec, _constant(params))
+    if terms is None:
+        return float(sum(abs(float(c)) for c in _unboost(spec)[0].poly.terms.values()))
+    return float(sum(abs(k) * params.n ** (a + b) for k, a, b, _ in terms))
 
 
-def _phi_terms(spec: StateSpec, params: ModelParams, xs: np.ndarray, z: np.ndarray | None = None):
+def _phi_terms(spec: StateSpec, params: ModelParams, xs: np.ndarray):
     """Return (phi, D, lap) at sites-first positions xs of shape (N, ...):
     phi and lap = sum_m D_m^2 phi of shape (...), D of shape (N, ...)
-    holding D_m phi, with D_m = z_m d/dz_m.  z is `_z(params, xs)`,
-    computed here unless given; the ground state does not need it."""
-    n = params.n
-    if spec.kind == GROUND:
-        zero = np.zeros(xs.shape[1:], dtype=complex)
-        return zero + 1.0, np.zeros(xs.shape, dtype=complex), zero
-    if z is None:
+    holding D_m phi, with D_m = z_m d/dz_m.
+
+    D_m e1 = z_m, D_m conj(e1) = -conj(z_m), D_m G = G and
+    sum_m z_m conj(z_m) = N, so each term T = coeff e1^a conj(e1)^b G^m of
+    `_terms` gives
+      D_m T = coeff G^m (a conj(e1)^b z_m - b e1^a conj(z_m)) + m T,
+      sum_m D_m^2 T = (a (2m + 1) - b (2m - 1) + N m^2) T - 2abN coeff G^m.
+    z is not computed when no term needs it (the ground state)."""
+    n, shape = params.n, xs.shape[1:]
+    terms = _terms(spec, _constant(params))
+    phi = np.zeros(shape, dtype=complex)
+    lap = np.zeros(shape, dtype=complex)
+    if terms is None:
+        base, q = _unboost(spec)
         z = _z(params, xs)
-    if spec.kind == E1:
-        phi = z.sum(axis=0)
-        return phi, z, phi
-    if spec.kind == EN:
-        big_g = z.prod(axis=0)
-        return big_g, np.broadcast_to(big_g, z.shape), n * big_g
-    # |z| = 1, so 1/z is conj(z) and sum_m 1/z_m is conj(e1)
-    if spec.kind == ENM1:
-        big_g = z.prod(axis=0)
-        phi = big_g * z.sum(axis=0).conj()
-        d = phi - big_g * z.conj()
-        return phi, d, d.sum(axis=0)
-    if spec.kind == COMBO:
-        c = n / (1.0 + params.drift_weight * params.beta)
-        e1 = z.sum(axis=0)
-        big_g = z.prod(axis=0)
-        enm1 = big_g * e1.conj()
-        d_enm1 = enm1 - big_g * z.conj()
-        phi = e1 * enm1 - c * big_g
-        d = z * enm1 + e1 * d_enm1 - c * big_g
-        # sum_m D_m^2 phi = e1 enm1 + 2 sum_m z_m D_m enm1 + e1 sum_m D_m enm1 - N c G
-        lap = e1 * enm1 + 2.0 * (z * d_enm1).sum(axis=0) + e1 * d_enm1.sum(axis=0) - n * c * big_g
-        return phi, d, lap
-    if spec.kind == NONDEG_ZERO:
-        c = n / (1.0 + params.drift_weight * params.beta)
-        e1 = z.sum(axis=0)
-        pinv = e1.conj()
-        phi = e1 * pinv - c
-        d = z * pinv - e1 * z.conj()
-        return phi, d, 2.0 * e1 * pinv - 2.0 * n
-    if spec.kind == COS_SUM:
-        phi = z.sum(axis=0).real + 0j
-        return phi, 1j * z.imag, phi
-    if spec.kind == SIN_SUM:
-        phi = z.sum(axis=0).imag + 0j
-        return phi, -1j * z.real, phi
-    if spec.kind == BOOSTED:
-        q = spec.q
-        bphi, bd, blap = _phi_terms(spec.base, params, xs, z)
-        gq = z.prod(axis=0) ** q
-        d = gq * (q * bphi + bd)
-        lap = gq * (n * q * q * bphi + 2.0 * q * bd.sum(axis=0) + blap)
-        return gq * bphi, d, lap
-    if spec.kind == POLY:
-        phi = np.zeros(z.shape[1:], dtype=complex)
-        d = np.zeros(z.shape, dtype=complex)
-        lap = np.zeros(z.shape[1:], dtype=complex)
-        for exps, coeff in spec.poly.terms.items():
-            mono = np.full(z.shape[1:], complex(coeff))
+        d = np.zeros(xs.shape, dtype=complex)
+        for exps, coeff in base.poly.terms.items():
+            exps = [e + q for e in exps]
+            mono = np.full(shape, complex(coeff))
             for j, e in enumerate(exps):
                 if e:
                     mono = mono * z[j] ** e
@@ -313,7 +301,37 @@ def _phi_terms(spec: StateSpec, params: ModelParams, xs: np.ndarray, z: np.ndarr
                     d[j] += e * mono
                     lap += e * e * mono
         return phi, d, lap
-    raise AssertionError(spec.kind)
+    if any(a or b or m for _, a, b, m in terms):
+        z = _z(params, xs)
+        e1 = z.sum(axis=0)
+    same = np.zeros(shape, dtype=complex)  # the part of D_m phi that is the same at every site
+    at_z, at_zbar = [], []  # per-sample factors of z_m and conj(z_m) in D_m phi
+    # G^m multiplies the sum of the terms at each m once, so rounding stays
+    # relative to that sum where its terms cancel, near a node of phi
+    for m in sorted({m for *_, m in terms}):
+        gm = z.prod(axis=0) ** m if m else 1.0
+        t = lap_m = 0.0
+        for k, a, b, _ in (term for term in terms if term[3] == m):
+            tk = k * (e1 if a else 1.0) * (e1.conj() if b else 1.0)
+            t = t + tk
+            lap_m = lap_m + (a * (2 * m + 1) - b * (2 * m - 1)) * tk - 2 * a * b * n * k
+            if a:
+                at_z.append(gm * (k * e1.conj() if b else k))
+            if b:
+                at_zbar.append(-gm * (k * e1 if a else k))
+        t = gm * t
+        phi += t
+        lap += gm * lap_m + n * m * m * t
+        same += m * t
+    d = np.broadcast_to(same, xs.shape)
+    if at_z:
+        d = z * sum(at_z)
+        d += same
+    if at_zbar:
+        z_bar = z.conj()
+        z_bar *= sum(at_zbar)
+        d = np.add(z_bar, d, out=z_bar)
+    return phi, d, lap
 
 
 def _phi_ratios(spec: StateSpec, params: ModelParams, xs: np.ndarray):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from tcsm.dual_paths import (
     dual_phi_eval,
 )
 from tcsm.model import derive_params, interaction_pairs, three_body_triples
-from tcsm.oracle import potential_energy, sample_positions
+from tcsm.oracle import potential_energy, sample_positions, state_degree
+from tcsm.polyalg import LaurentPoly
 from tcsm.wavefunction import (
     COMBO,
     COS_SUM,
@@ -17,6 +19,7 @@ from tcsm.wavefunction import (
     ENM1,
     GROUND,
     NONDEG_ZERO,
+    POLY,
     SIN_SUM,
     BOOSTED,
     Configuration,
@@ -30,6 +33,7 @@ from tcsm.wavefunction import (
     min_cyclic_separation,
     phi_eval,
     phi_eval_batch,
+    phi_node_scale,
 )
 
 L = 2.0 * math.pi
@@ -241,12 +245,30 @@ ALL_STATES = [
     StateSpec(NONDEG_ZERO),
     StateSpec(BOOSTED, q=1, base=StateSpec(E1)),
     StateSpec(BOOSTED, q=-1, base=StateSpec(ENM1)),
+    StateSpec(BOOSTED, q=-2, base=StateSpec(EN)),
+    StateSpec(BOOSTED, q=2, base=StateSpec(COMBO)),
+    StateSpec(BOOSTED, q=-1, base=StateSpec(NONDEG_ZERO)),
+    StateSpec(BOOSTED, q=1, base=StateSpec(COS_SUM)),
+    StateSpec(BOOSTED, q=-2, base=StateSpec(SIN_SUM)),
+    StateSpec(BOOSTED, q=-1, base=StateSpec(GROUND)),
+    StateSpec(BOOSTED, q=2, base=StateSpec(BOOSTED, q=-1, base=StateSpec(COMBO))),
 ]
+CROSS_CHECK_SIZES = [(6, 2, 2.5), (9, 3, 0.7)]
 
 
-@pytest.mark.parametrize("spec", ALL_STATES, ids=lambda s: s.label())
-def test_phi_dual_number_cross_check(spec):
-    p = derive_params(6, 2, beta=2.5)
+def boosted_poly(n):
+    """An explicit polynomial state, boosted so that some exponents go negative."""
+    poly = LaurentPoly(n, {(2,) + (1,) * (n - 2) + (0,): Fraction(1), (1,) * n: Fraction(-3, 2)})
+    return StateSpec(BOOSTED, q=-1, base=StateSpec(POLY, poly=poly))
+
+
+@pytest.mark.parametrize("spec, size", [
+    pytest.param(spec, size, id=spec.label() + ("" if size == CROSS_CHECK_SIZES[0] else "-n%d-r%d-beta%g" % size))
+    for size in CROSS_CHECK_SIZES for spec in ALL_STATES + [boosted_poly(size[0])]
+])
+def test_phi_dual_number_cross_check(spec, size):
+    n, r, beta = size
+    p = derive_params(n, r, beta=beta)
     x = sample_positions(p, 100, seed=17)
     phi, grad_ratio, lap_ratio, nodes = phi_eval_batch(spec, p, x)
     phid, dphi, d2phi = dual_phi_eval(spec, p, x)
@@ -258,6 +280,32 @@ def test_phi_dual_number_cross_check(spec):
     got_lap = d2phi[keep].sum(axis=-1) / phid[keep]
     scale = np.abs(lap_ratio[keep]).max() + 1.0
     assert np.abs(lap_ratio[keep] - got_lap).max() / scale < 1e-10
+
+
+@pytest.mark.parametrize("n, r, beta", [(6, 2, 2.5), (9, 3, 0.7)])
+def test_node_scale_and_degree_of_every_kind(n, r, beta):
+    p = derive_params(n, r, beta=beta)
+    assert p.truncated
+    c = n / (1 + 2 * r * beta)
+    expected = {  # kind -> (node scale, degree)
+        GROUND: (1, 0),
+        E1: (n, 1),
+        ENM1: (n, n - 1),
+        EN: (1, n),
+        COMBO: (n * n + c, n),
+        COS_SUM: (n, None),
+        SIN_SUM: (n, None),
+        NONDEG_ZERO: (n * n + c, 0),
+    }
+    for kind, (scale, degree) in expected.items():
+        spec = StateSpec(kind)
+        nested = StateSpec(BOOSTED, q=2, base=StateSpec(BOOSTED, q=-1, base=spec))
+        for q, s in [(0, spec), (-2, StateSpec(BOOSTED, q=-2, base=spec)), (1, nested)]:
+            assert phi_node_scale(s, p) == pytest.approx(scale, rel=1e-15), s.label()
+            assert state_degree(s, n) == (None if degree is None else degree + n * q), s.label()
+    poly = StateSpec(POLY, poly=LaurentPoly(n, {(1,) * n: Fraction(-3, 2), (2,) + (0,) * (n - 1): 1}))
+    assert phi_node_scale(poly, p) == 2.5
+    assert state_degree(poly, n) is None
 
 
 def test_dual_log_psi0_cross_check():
