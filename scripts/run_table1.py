@@ -8,7 +8,7 @@ oracle decides which number is the actual eigenvalue.
 
 import argparse
 
-from tcsm.cli import run_table1_rows
+from tcsm.oracle import run_table1_rows
 
 
 def main():

@@ -2,7 +2,8 @@
 
 Every command emits a JSON document with a `verdicts` array; CSV output is
 a lossy tabular projection of the same data.  Exit codes: 0 all verdicts
-pass, 1 at least one Fail/conflict, 2 usage or parameter-domain error.
+pass, 1 at least one Fail/conflict, 2 usage or parameter-domain error, or a
+size that cannot be allocated.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 
 from . import __version__
 from .model import (
+    TABLE1_ROWS,
     ParameterDomainError,
     derive_params,
     ground_energy_coeff,
@@ -30,6 +32,7 @@ from .oracle import (
     SamplingError,
     conversion_coefficient,
     predicted_physical,
+    run_table1_rows,
     verify_eigenstate,
 )
 from .spectral import H1Operator, spectrum_report
@@ -45,9 +48,6 @@ from .wavefunction import (
     SIN_SUM,
     StateSpec,
 )
-
-# Published ground-state table this toolkit reproduces (reduced units, beta=1).
-TABLE1_ROWS = {(6, 2): 20, (7, 2): 21, (8, 2): 24, (8, 3): 56, (9, 2): 27, (9, 3): 30}
 
 STATE_NAMES = {
     "ground": GROUND,
@@ -174,40 +174,6 @@ def cmd_params(args) -> dict:
     }
 
 
-def run_table1_rows(samples: int = 2000, seed: int = 1, min_sep_frac: float = 1e-3) -> list:
-    rows = []
-    for (n, r), published in sorted(TABLE1_ROWS.items()):
-        params = derive_params(n, r, beta=1.0)
-        formula = int(ground_energy_coeff(params))
-        verdict = "match" if formula == published else "conflict"
-        row = {
-            "N": n,
-            "r": r,
-            "published": published,
-            "formula": formula,
-            "verdict": verdict,
-        }
-        if verdict == "conflict":
-            # the sampled local energy adjudicates which number is the eigenvalue
-            report = verify_eigenstate(
-                params,
-                StateSpec(GROUND),
-                count=samples,
-                seed=seed,
-                predicted=ground_energy_physical(params),
-                tol=1e-9,
-                min_sep_frac=min_sep_frac,
-            )
-            # measured E0 in units of pi^2/L^2: should land on `formula`
-            row["oracle_energy_reduced"] = (
-                report.energy_mean * params.length**2 / math.pi**2
-            )
-            row["oracle_confirms_formula"] = report.verdict == PASS
-            row["oracle_relative_stddev"] = report.energy_stddev / (abs(report.energy_mean) + 1.0)
-        rows.append(row)
-    return rows
-
-
 def cmd_table1(args) -> dict:
     rows = run_table1_rows(args.samples, args.seed, args.min_sep_frac)
     verdicts = [
@@ -303,7 +269,7 @@ def main(argv=None) -> int:
         result = HANDLERS[args.command](args)
     except SystemExit as exc:  # --help and --version
         return exc.code or 0
-    except (UsageError, ParameterDomainError, SamplingError) as exc:
+    except (UsageError, ParameterDomainError, SamplingError, MemoryError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     result["command"] = args.command

@@ -172,6 +172,10 @@ def triple_count_formula(params: ModelParams) -> int:
     return int(count)
 
 
+# Published ground-state table this toolkit reproduces (reduced units, beta=1).
+TABLE1_ROWS = {(6, 2): 20, (7, 2): 21, (8, 2): 24, (8, 3): 56, (9, 2): 27, (9, 3): 30}
+
+
 def ground_energy_coeff(params: ModelParams) -> Fraction:
     """Ground-state energy in units of beta^2 pi^2 / L^2, exact rational."""
     n = params.n

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from tcsm.cli import run_table1_rows
 from tcsm.dual_paths import dual_grad_and_second_log_psi0
 from tcsm.model import (
     derive_params,
@@ -21,6 +20,7 @@ from tcsm.model import (
 from tcsm.oracle import (
     PASS,
     predicted_physical,
+    run_table1_rows,
     sample_positions,
     verify_eigenstate,
 )

@@ -189,6 +189,14 @@ def test_infeasible_min_sep_rejected():
     assert_usage_error("verify-ground", "--n", "6", "--r", "2", "--min-sep-frac", "0.5")
 
 
+def test_unallocatable_sample_count_rejected():
+    # 1e13 samples at N = 6 need 437 TiB, beyond any address space, so the
+    # allocation fails at once; never test a size that could fit in memory
+    message = assert_usage_error("verify-ground", "--n", "6", "--r", "2",
+                                 "--samples", "10000000000000")
+    assert "allocate" in message
+
+
 def test_spectrum_degree_zero_rejected():
     assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "0")
 

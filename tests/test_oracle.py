@@ -13,10 +13,13 @@ from tcsm.model import (
     ground_energy_physical,
     triple_offsets,
 )
+from tcsm import oracle
 from tcsm.oracle import (
     FAIL,
     PASS,
+    REDRAW_ROUNDS,
     SamplingError,
+    _presorted_min_separation,
     _three_body_by_site,
     conversion_coefficient,
     conversion_factor,
@@ -45,6 +48,7 @@ from tcsm.wavefunction import (
     Configuration,
     NodeProximityError,
     StateSpec,
+    _sites_first,
     grad_log_psi0,
     laplacian_ratio_psi0,
     min_cyclic_separation,
@@ -274,6 +278,144 @@ def test_sampling_infeasible_min_sep():
     p = derive_params(6, 2)
     with pytest.raises(SamplingError):
         sample_positions(p, 10, seed=1, min_sep_frac=0.5)
+
+
+def reference_sample_positions(params, count, seed, min_sep_frac):
+    """(positions, rounds) from the sites-last sampler that `sample_positions`
+    replaced: it wraps by `% L` and checks each permuted row with the sorting
+    `min_cyclic_separation`.  Kept as the reference the draws must equal."""
+    n, length = params.n, params.length
+    rng = np.random.default_rng(seed)
+    floor = min_sep_frac * length
+    out = np.empty((0, n))
+    for rounds in range(1, REDRAW_ROUNDS + 1):
+        need = count - len(out)
+        gaps = rng.exponential(size=(need, n))
+        spacing = floor + (length - n * floor) * (gaps / gaps.sum(axis=-1, keepdims=True))
+        start = rng.uniform(0.0, length, size=(need, 1))
+        x = np.concatenate([start, start + np.cumsum(spacing[:, :-1], axis=-1)], axis=-1) % length
+        x = rng.permuted(x, axis=-1)
+        out = np.concatenate([out, x[min_cyclic_separation(x, length) >= floor]])
+        if len(out) == count:
+            return out, rounds
+    raise SamplingError(
+        f"min_sep_frac {min_sep_frac} leaves no room above the floor at N={n}: "
+        "rows keep falling below it by rounding"
+    )
+
+
+def assert_same_draws(params, count, seed, frac):
+    """`sample_positions` equals the reference bit for bit, signs of zero
+    included, or raises the same SamplingError; returns the reference's
+    rounds, 0 when it raised."""
+    try:
+        want, rounds = reference_sample_positions(params, count, seed, frac)
+    except SamplingError as exc:
+        with pytest.raises(SamplingError) as got:
+            sample_positions(params, count, seed, frac)
+        assert str(got.value) == str(exc)
+        return 0
+    got = sample_positions(params, count, seed, frac)
+    assert got.shape == want.shape == (count, params.n)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    return rounds
+
+
+def test_sampler_draws_equal_the_sites_last_reference():
+    # at (1 - 1e-12)/N the slack L - N floor is ~1e-12 L, and some rows round
+    # below the floor and are redrawn; at (1 - 2e-16)/N the slack is at the
+    # rounding level, rows keep failing, and some runs give up
+    rounds = {"ordinary": set(), "rounding": set(), "no room": set()}
+    for n in (3, 6, 9, 12, 13, 64):
+        p = derive_params(n, 1, length=[2.0 * math.pi, 1.0, 3.0][n % 3])
+        fracs = {"ordinary": 1e-3, "rounding": (1 - 1e-12) / n, "no room": (1 - 2e-16) / n}
+        for kind, frac in fracs.items():
+            for seed in range(4):
+                for count in (1, 500):
+                    rounds[kind].add(assert_same_draws(p, count, seed, frac))
+    assert rounds["ordinary"] == {1}
+    assert max(rounds["rounding"]) > 1
+    assert 0 in rounds["no room"]
+
+
+class RiggedGenerator:
+    """Replays given gap rows and rotations in order and shuffles like a
+    seeded generator, to reach rounding cases an exponential draw meets
+    about once in 1e15 rows."""
+
+    def __init__(self, gaps, starts):
+        self.gaps, self.starts = list(gaps), list(starts)
+        self.rng = np.random.Generator(np.random.PCG64(0))
+
+    def exponential(self, size):
+        rows, self.gaps = self.gaps[: size[0]], self.gaps[size[0] :]
+        return np.array(rows, dtype=float).reshape(size)
+
+    def uniform(self, low, high, size):
+        n = int(np.prod(size))
+        rows, self.starts = self.starts[:n], self.starts[n:]
+        return np.array(rows, dtype=float).reshape(size)
+
+    def permuted(self, x, axis, out=None):
+        return self.rng.permuted(x, axis=axis, out=out)
+
+
+@pytest.mark.parametrize(
+    "frac,bad_gaps,bad_start",
+    [
+        # the first two spacings round to 1 + 2^-52 > L and the rotation sits
+        # one ulp below L, so the last point lands on 2L, and only `% L`
+        # brings it back into [0, L)
+        (1e-300, [0.0022693266812281823, 0.5503428726390482, 1e-300], np.nextafter(1.0, 0.0)),
+        # the same overshoot leaves the last point 2^-53 past the first, so
+        # the row has two descents; the sort finds a separation of 1.1e-16
+        # below the 1.5e-16 floor, and the row is redrawn
+        (1.5e-16, [0.586909067940969, 0.8972541206659738, 1e-300], 0.04244648245181082),
+    ],
+)
+def test_sampler_matches_reference_where_spacings_overshoot_the_circle(monkeypatch, frac, bad_gaps, bad_start):
+    p = derive_params(3, 1, length=1.0)
+    gaps = [[1.0, 2.0, 3.0], bad_gaps, [0.5, 0.25, 2.0], [3.0, 1.0, 1.0]] * 2
+    starts = [0.25, bad_start, 0.5, 0.75] * 2
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: RiggedGenerator(gaps, starts))
+    assert assert_same_draws(p, 3, 1, frac) == (1 if frac == 1e-300 else 2)
+
+
+def test_presorted_min_separation_equals_sorted_minimum():
+    # unpermuted rows (rotations of their sorted order, ties included) take
+    # the O(N) path; shuffled rows have other descent counts and are sorted
+    rng = np.random.default_rng(3)
+    for n in (3, 4, 9, 64):
+        for length in (1.0, 2.0 * math.pi):
+            x = np.sort(rng.uniform(0.0, length, size=(200, n)), axis=-1)
+            x[::7, 1] = x[::7, 0]
+            x[::5, -1] = x[::5, -2]
+            shift = rng.integers(0, n, size=200)
+            rotated = np.take_along_axis(x, (np.arange(n) + shift[:, None]) % n, axis=-1)
+            shuffled = rng.permuted(x, axis=-1)
+            for rows in (rotated, shuffled, x[:, ::-1]):
+                got = _presorted_min_separation(np.ascontiguousarray(rows.T), length)
+                np.testing.assert_array_equal(got, min_cyclic_separation(rows, length))
+
+
+def test_sampler_sorts_no_row_at_an_ordinary_floor(monkeypatch):
+    def refuse(x, length):
+        raise AssertionError(f"sorted {x.shape} rows")
+
+    monkeypatch.setattr(oracle, "min_cyclic_separation", refuse)
+    for n in (3, 9, 64):
+        p = derive_params(n, 1)
+        for frac in (1e-3, (1 - 1e-12) / n):
+            sample_positions(p, 500, seed=n, min_sep_frac=frac)
+
+
+@pytest.mark.parametrize("frac", [1e-3, (1 - 1e-12) / 9])
+def test_sampler_returns_a_sites_first_buffer(frac):
+    p = derive_params(9, 2)
+    x = sample_positions(p, 500, seed=2, min_sep_frac=frac)
+    assert x.T.flags.c_contiguous
+    assert np.shares_memory(_sites_first(x), x)
 
 
 def test_sampling_acceptance_rate():
