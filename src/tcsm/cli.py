@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -96,6 +97,9 @@ def _output(parser):
     parser.add_argument("--out", dest="out_path", default=None)
 
 
+# one parser per process: parsing keeps no state in it, building it takes
+# over a millisecond, and each discarded parser is cyclic garbage
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="tcsm",
@@ -130,7 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
     _output(p)
 
     p = sub.add_parser("count-triples", help="three-body term count, formula vs enumeration")
-    _common(p)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
     p.add_argument("--enumerate", dest="enumerate_", action="store_true")
     _output(p)
 
@@ -224,7 +229,7 @@ def cmd_spectrum(args) -> dict:
 
 
 def cmd_count_triples(args) -> dict:
-    params = derive_params(args.n, args.r, args.length, args.beta)
+    params = derive_params(args.n, args.r)
     formula = triple_count_formula(params) if params.truncated else 0
     result = {"N": params.n, "r": params.r, "regime": params.regime, "formula": formula}
     verdict = PASS
@@ -281,8 +286,12 @@ def main(argv=None) -> int:
     else:
         text = json.dumps(result, sort_keys=True, indent=2) + "\n"
     if args.out_path:
-        with open(args.out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     ok = all(v["verdict"] in PASSING for v in result.get("verdicts", []))

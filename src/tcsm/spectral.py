@@ -14,8 +14,8 @@ The operator preserves homogeneous degree but, for 1 < r < c, maps fully
 symmetric polynomials only into cyclic-invariant ones, so each degree
 block is a rectangular pencil (A0 + beta A1) v = lambda E v with E the
 exact embedding of the symmetric basis into the cyclic-invariant basis.
-`build_pencil` reads sparse A1 rows and the row -> partition index that
-fixes A0 and E off the basis labels in integers.  Each block is triangular
+`build_pencil` stores each partition's distinct sparse integer A1 rows with
+their necklace counts, read off the basis labels.  Each block is triangular
 in dominance order, so `solve_pencil` solves it exactly, with no threshold.
 `apply_H1` applies the operator to one polynomial, behind the exact eigen,
 parity and boost checks: it clears denominators once, forms the diagonal
@@ -116,37 +116,31 @@ def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
 @dataclass(frozen=True)
 class PencilBlock:
     """Exact degree-d block: A = A0 + beta*A1 maps symmetric coordinates into
-    the cyclic-invariant basis; E is the embedding.  Row rho of E (of A0) is
-    1 (sum_j lambda_j^2) at `column[rho]`, the partition lambda of rho, and
-    0 elsewhere; `a1` holds the integer rows of A1 as column -> value."""
+    the cyclic-invariant basis of `dim_cyc` necklaces; E is the embedding.
+    A necklace's row of E (of A0) is 1 (sum_j lambda_j^2) at its partition
+    and 0 elsewhere; `rows[k]` holds partition k's distinct integer A1 rows,
+    as column -> value, each with its number of necklaces."""
 
     degree: int
     sym_basis: BasisSet
-    cyc_basis: BasisSet
-    column: tuple[int, ...]
-    a1: tuple[dict[int, int], ...]
+    dim_cyc: int
+    rows: tuple[tuple[tuple[dict[int, int], int], ...], ...]
 
     @property
     def dim_sym(self) -> int:
         return len(self.sym_basis)
 
-    @property
-    def dim_cyc(self) -> int:
-        return len(self.cyc_basis)
-
-
-def _partition(exps) -> tuple[int, ...]:
-    return tuple(sorted((e for e in exps if e), reverse=True))
-
 
 def _split_run(lam: tuple[int, ...], low: int, high: int, index: dict) -> list[tuple[int, int]]:
-    """(column, weight) of each split of a pair (low, high) in partition lam."""
+    """(column, weight) of each split of a pair (low, high) in partition lam;
+    lam and the partitions that index maps are padded with zeros to N parts."""
     rest = list(lam)
-    for part in filter(None, (low, high)):
-        rest.remove(part)
+    rest.remove(low)
+    rest.remove(high)
     total = low + high
     return [
-        (index[_partition(rest + [total - lo, lo])], (total - 2 * lo) * (1 if lo == low else 2))
+        (index[tuple(sorted(rest + [total - lo, lo], reverse=True))],
+         (total - 2 * lo) * (1 if lo == low else 2))
         for lo in range(low + 1)
         if 2 * lo != total
     ]
@@ -162,31 +156,37 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     with n <= min(rho_a, rho_b), where w is 1 at the ends of the run
     (n = min(rho_a, rho_b)) and 2 inside it; the column is the partition of
     rho with (rho_a, rho_b) replaced by (m, n).  That run depends only on
-    rho's partition and the pair's two values, so each is built once.  Each
-    symmetric element is a sum of flat cyclic orbit sums, so E and A0 follow
-    from each row's partition.
+    rho's partition and the pair's two values, so a row depends only on the
+    partition and the multiset of pair values {rho_a, rho_b}: each distinct
+    row is counted, and built once.  Each symmetric element is a sum of flat
+    cyclic orbit sums, so E and A0 follow from each necklace's partition.
     """
     if degree < 1:
         raise ParameterDomainError("degree must be >= 1")
-    n = op.params.n
+    n, pairs, width = op.params.n, op.drift_pairs, degree + 1
     sym = basis(SYMMETRIC, n, degree)
     cyc = basis(CYCLIC, n, degree)
-    index = {lam: j for j, lam in enumerate(sym.labels)}
-    column = tuple(index[_partition(rho)] for rho in cyc.labels)
-    runs: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-    rows = []
-    for rho, k in zip(cyc.labels, column):
+    padded = [lam + (0,) * (n - len(lam)) for lam in sym.labels]  # N parts each
+    index = {lam: j for j, lam in enumerate(padded)}
+    # an unordered pair of values {x, y}, x <= y, as the one int x * width + y
+    code = [[min(x, y) * width + max(x, y) for y in range(width)] for x in range(width)]
+    keys = Counter(
+        (index[tuple(sorted(rho, reverse=True))],
+         tuple(sorted([code[rho[a]][rho[b]] for a, b in pairs])))
+        for rho in cyc.labels
+    )
+    runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    rows: list[list[tuple[dict[int, int], int]]] = [[] for _ in sym.labels]
+    for (k, codes), count in keys.items():
         row: dict[int, int] = {}
-        for a, b in op.drift_pairs:
-            x, y = rho[a], rho[b]
-            key = (k, x, y) if x <= y else (k, y, x)
-            run = runs.get(key)
+        for c in codes:
+            run = runs.get((k, c))
             if run is None:
-                run = runs[key] = _split_run(sym.labels[k], key[1], key[2], index)
+                run = runs[k, c] = _split_run(padded[k], *divmod(c, width), index)
             for j, w in run:
                 row[j] = row.get(j, 0) + w
-        rows.append(row)
-    return PencilBlock(degree=degree, sym_basis=sym, cyc_basis=cyc, column=column, a1=tuple(rows))
+        rows[k].append((row, count))
+    return PencilBlock(degree=degree, sym_basis=sym, dim_cyc=len(cyc), rows=tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -205,9 +205,9 @@ class PencilSolution:
 def solve_pencil(block: PencilBlock, beta_value) -> PencilSolution:
     """Every level of (A0 + beta A1) v = lambda E v, with its eigenspace, exactly.
 
-    A split moves a pair's exponents apart, so row rho of A1 reaches only
-    partitions dominating sort rho, at or before column[rho] in reverse lex
-    order.  So an eigenvector's first nonzero coordinate k fixes
+    A split moves a pair's exponents apart, so a row of partition k reaches
+    only partitions dominating it, at or before k in reverse lex order.  So
+    an eigenvector's first nonzero coordinate k fixes
     lambda = D_k + beta A1[rho, k] on every row rho of k: the partitions
     whose rows agree there (heads) give every level.  From a level's first
     head, each partition in turn adds its coordinate to the span of
@@ -217,31 +217,25 @@ def solve_pencil(block: PencilBlock, beta_value) -> PencilSolution:
     beta = Fraction(beta_value)
     p, q = beta.numerator, beta.denominator
     diag = [sum(x * x for x in lam) for lam in block.sym_basis.labels]
-    size, own = [0] * len(diag), [0] * len(diag)  # rows per partition, their sum of A1[rho, k]
-    # each partition's rows, a row equal to the one before it once: in the
-    # full regime all rows of a partition are equal
-    runs: list[list[dict[int, int]]] = [[] for _ in diag]
-    for k, row in zip(block.column, block.a1):
-        size[k] += 1
-        own[k] += row.get(k, 0)
-        if not runs[k] or runs[k][-1] != row:
-            runs[k].append(row)
     heads: dict[int, list[int]] = {}  # q * level -> its heads
-    for k, rows in enumerate(runs):
-        if len({p * row.get(k, 0) for row in rows}) == 1:
-            heads.setdefault(q * diag[k] + p * rows[0].get(k, 0), []).append(k)
+    for k, rows in enumerate(block.rows):
+        if len({p * row.get(k, 0) for row, _ in rows}) == 1:
+            heads.setdefault(q * diag[k] + p * rows[0][0].get(k, 0), []).append(k)
     certified = []
     for level, ks in sorted(heads.items()):
-        for v in _eigenspace(runs, diag, p, q, level, ks):
+        for v in _eigenspace(block.rows, diag, p, q, level, ks):
             lead = next(c for c in v if c)
             certified.append(EigenPair(Fraction(level, q), tuple(Fraction(c, lead) for c in v)))
-    # E^+ A averages each partition's rows, so it is lower triangular too
+    # E^+ A averages each partition's rows over its necklaces, so it is lower
+    # triangular too, with diagonal D_k + beta (sum count A1[rho, k]) / (sum count)
+    size = [sum(m for _, m in rows) for rows in block.rows]
+    own = [sum(m * row.get(k, 0) for row, m in rows) for k, rows in enumerate(block.rows)]
     square = Counter(Fraction(q * d * m + p * a, q * m) for d, m, a in zip(diag, size, own))
     square.subtract(pr.value for pr in certified)
     return PencilSolution(certified=tuple(certified), spurious=tuple(sorted(square.elements())))
 
 
-def _eigenspace(runs, diag, p: int, q: int, level: int, heads: list[int]) -> list[list[int]]:
+def _eigenspace(rows, diag, p: int, q: int, level: int, heads: list[int]) -> list[list[int]]:
     """Integer basis of the eigenspace at lambda = level / q.  Once the span
     is empty, only a later head of the level can start it again."""
     dim = len(diag)
@@ -251,7 +245,7 @@ def _eigenspace(runs, diag, p: int, q: int, level: int, heads: list[int]) -> lis
             break
         span.append([int(j == k) for j in range(dim)])
         shift = q * diag[k] - level
-        for row in runs[k]:
+        for row, _ in rows[k]:
             values = [shift * v[k] + p * sum(a * v[j] for j, a in row.items()) for v in span]
             cut = max((t for t, x in enumerate(values) if x), default=None)
             if cut is not None:

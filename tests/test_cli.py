@@ -237,6 +237,26 @@ def test_count_triples():
     assert data["formula"] == data["enumerated"] == 36
 
 
+# the count depends on N and r only, so count-triples takes no --beta or --length
+@pytest.mark.parametrize("flag, value", [("--beta", "1"), ("--length", "2")])
+def test_count_triples_has_no_physical_flags(flag, value):
+    message = assert_usage_error("count-triples", "--n", "12", "--r", "2", "--enumerate",
+                                 flag, value)
+    assert f"unrecognized arguments: {flag}" in message
+
+
+def test_calls_share_no_parsed_state():
+    # main reuses one parser, so a flag given once must not carry over
+    _, with_flag = run_cli("count-triples", "--n", "12", "--r", "2", "--enumerate")
+    _, without = run_cli("count-triples", "--n", "12", "--r", "2")
+    assert "enumerated" in json.loads(with_flag)
+    assert "enumerated" not in json.loads(without)
+    _, boosted = run_cli("verify-excited", "--n", "6", "--r", "2", "--state", "e1", "--q", "1",
+                         "--samples", "50")
+    _, plain = run_cli("verify-excited", "--n", "6", "--r", "2", "--state", "e1", "--samples", "50")
+    assert json.loads(boosted)["verdicts"][0]["name"] != json.loads(plain)["verdicts"][0]["name"]
+
+
 def test_deterministic_output():
     _, out1 = run_cli("verify-ground", "--n", "6", "--r", "2", "--samples", "200", "--seed", "7")
     _, out2 = run_cli("verify-ground", "--n", "6", "--r", "2", "--samples", "200", "--seed", "7")
@@ -258,6 +278,14 @@ def test_out_path(tmp_path):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["E0_reduced"] == 20.0
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_path_rejected(tmp_path, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    message = assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "3",
+                                 "--out", str(target))
+    assert str(target) in message
 
 
 def test_module_entry_point():

@@ -19,7 +19,6 @@ from tcsm.polyalg import (
     DivisionError,
     LaurentPoly,
     basis,
-    cyclic_representative,
     elementary_symmetric,
     exact_divide,
     power_sum,
@@ -214,16 +213,29 @@ def _generic_block(op, degree):
     return tuple(zip(*a0)), tuple(zip(*a1)), tuple(zip(*emb))
 
 
-def _dense_block(block):
-    """Dense (A0, A1, E) rebuilt from the block's column index, sparse A1
-    rows and the diagonal D = sum_j lambda_j^2 over the symmetric labels."""
-    diag = [sum(x * x for x in lam) for lam in block.sym_basis.labels]
-    a0, a1, emb = [], [], []
-    for j, row in zip(block.column, block.a1):
-        a0.append(tuple(diag[j] if k == j else 0 for k in range(block.dim_sym)))
-        a1.append(tuple(row.get(k, 0) for k in range(block.dim_sym)))
-        emb.append(tuple(int(k == j) for k in range(block.dim_sym)))
-    return tuple(a0), tuple(a1), tuple(emb)
+def _rows_by_partition(a0, a1, emb, diag):
+    """Per partition k, a Counter of the dense A1 rows of its necklaces; each
+    necklace's E row must be 1 at k and 0 elsewhere, and its A0 row D_k E."""
+    rows = [Counter() for _ in diag]
+    for r0, r1, e in zip(a0, a1, emb):
+        k = e.index(1)
+        assert e == tuple(int(j == k) for j in range(len(diag)))
+        assert r0 == tuple(diag[k] * x for x in e)
+        rows[k][r1] += 1
+    return rows
+
+
+def _stored_rows(block):
+    """Per partition, a Counter of the block's dense A1 rows, by necklace count."""
+    rows = [Counter() for _ in block.rows]
+    for counter, stored in zip(rows, block.rows):
+        for row, count in stored:
+            counter[tuple(row.get(j, 0) for j in range(block.dim_sym))] += count
+    return rows
+
+
+def _diag(block):
+    return [sum(x * x for x in lam) for lam in block.sym_basis.labels]
 
 
 @given(st.integers(4, 7), st.integers(1, 3), st.integers(1, 5))
@@ -232,31 +244,41 @@ def _dense_block(block):
 @example(8, 3, 7)
 @settings(max_examples=20, deadline=None)
 def test_pencil_matches_generic_algebra(n, r, degree):
+    # every entry of A0, A1 and E; only the order of the necklaces is dropped
     op = operator(n, r)
     block = build_pencil(op, degree)
-    assert _dense_block(block) == _generic_block(op, degree)
-    assert all(0 not in row.values() for row in block.a1)
+    assert _stored_rows(block) == _rows_by_partition(*_generic_block(op, degree), _diag(block))
+    assert all(0 not in row.values() for rows in block.rows for row, _ in rows)
+
+
+def _partition(rho):
+    return tuple(sorted(filter(None, rho), reverse=True))
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_pencil_rows(n):
-    # in both regimes: E has full column rank, because column is
-    # non-decreasing and hits every partition; A1[rho, sort rho] = sum over
-    # drift pairs of |rho_a - rho_b|; and a necklace and its mirror have
-    # equal A1 rows (the drift-pair set is invariant under j -> -j)
+    # in both regimes: E has full column rank, because every partition has a
+    # necklace; the counts cover every necklace once; per partition k,
+    # sum count * A1[rho, k] = sum over its necklaces of sum over drift pairs
+    # of |rho_a - rho_b|; and no partition stores a row twice
     for r in sorted({1, n // 2 + 1}):
         op = operator(n, r)
         for degree in range(1, 9):
             block = build_pencil(op, degree)
-            assert list(block.column) == sorted(block.column)
-            assert set(block.column) == set(range(block.dim_sym))
-            rows = dict(zip(block.cyc_basis.labels, block.a1))
-            for rho, j, row in zip(block.cyc_basis.labels, block.column, block.a1):
-                # splits move exponents apart: the row reaches only partitions
-                # dominating sort rho, which come first in reverse lex order
-                assert max(row) <= j
-                assert row.get(j, 0) == sum(abs(rho[a] - rho[b]) for a, b in op.drift_pairs)
-                assert rows[cyclic_representative(rho[::-1])] == row
+            cyc = basis(CYCLIC, n, degree)
+            index = {lam: k for k, lam in enumerate(block.sym_basis.labels)}
+            own = Counter()
+            for rho in cyc.labels:
+                own[index[_partition(rho)]] += sum(abs(rho[a] - rho[b]) for a, b in op.drift_pairs)
+            assert block.dim_cyc == len(cyc)
+            assert sum(count for rows in block.rows for _, count in rows) == len(cyc)
+            assert len(block.rows) == block.dim_sym and all(block.rows)
+            for k, rows in enumerate(block.rows):
+                # splits move exponents apart: a row reaches only partitions
+                # dominating its own, which come first in reverse lex order
+                assert all(max(row) <= k for row, _ in rows)
+                assert sum(count * row.get(k, 0) for row, count in rows) == own[k]
+                assert len({frozenset(row.items()) for row, _ in rows}) == len(rows)
 
 
 def test_pencil_d1():
@@ -295,27 +317,31 @@ def _float_judge(block, beta_value):
     eigenpairs of the square operator E^+ A, certified by their residual
     ||Av - lambda Ev|| / ||Ev|| below 1e-10 and rejected above 1e-4.
     Returns ((value, multiplicity), ...) of the certified values grouped at
-    1e-7, and the rejected and undecided pair counts."""
-    column = np.array(block.column)
-    diag = np.array([sum(x * x for x in lam) for lam in block.sym_basis.labels], dtype=float)
-    a1 = np.zeros((block.dim_cyc, block.dim_sym))
-    for row, entries in enumerate(block.a1):
-        a1[row, list(entries)] = list(entries.values())
-    runs = np.bincount(column)
-    starts = np.cumsum(runs) - runs
-    w, vecs = np.linalg.eig(np.diag(diag) + beta_value * np.add.reduceat(a1, starts) / runs[:, None])
-    certified, rejected, undecided = [], 0, 0
+    1e-7, the rejected values, ascending, and the undecided pair count."""
+    stored = [(k, row, count) for k, rows in enumerate(block.rows) for row, count in rows]
+    column = np.array([k for k, _, _ in stored])
+    weight = np.array([count for _, _, count in stored], dtype=float)
+    diag = np.array(_diag(block), dtype=float)
+    a1 = np.zeros((len(stored), block.dim_sym))
+    for i, (_, entries, _) in enumerate(stored):
+        a1[i, list(entries)] = list(entries.values())
+    lengths = [len(rows) for rows in block.rows]
+    mean = np.add.reduceat(weight[:, None] * a1, np.cumsum(lengths) - lengths)
+    mean /= np.bincount(column, weights=weight)[:, None]
+    w, vecs = np.linalg.eig(np.diag(diag) + beta_value * mean)
+    certified, rejected, undecided = [], [], 0
     for value, v in sorted(zip(w, vecs.T), key=lambda pair: (pair[0].real, pair[0].imag)):
         ev = v[column]
         av = diag[column] * ev + beta_value * (a1 @ v)
-        res = np.linalg.norm(av - value * ev) / np.linalg.norm(ev)
+        # each stored row stands for `count` equal necklace rows
+        res = np.sqrt(weight @ np.abs(av - value * ev) ** 2 / (weight @ np.abs(ev) ** 2))
         if res < 1e-10:
             if certified and abs(value - certified[-1][0]) < 1e-7 * (1 + abs(value)):
                 certified[-1][1] += 1
             else:
                 certified.append([value.real, 1])
         elif res > 1e-4:
-            rejected += 1
+            rejected.append(value.real)
         else:
             undecided += 1
     return tuple(map(tuple, certified)), rejected, undecided
@@ -334,7 +360,9 @@ def test_exact_solve_matches_float_judge(n, r):
             assert undecided == 0
             assert [m for _, m in got] == [m for _, m in want]
             assert [float(v) for v, _ in got] == pytest.approx([v for v, _ in want], rel=1e-9)
-            assert len(sol.spurious) == rejected
+            # the spurious values are the rest of the diagonal of E^+ A, whose
+            # partition averages weight each stored row by its count
+            assert [float(v) for v in sol.spurious] == pytest.approx(rejected, rel=1e-9)
             assert sol.ambiguous == ()
 
 
@@ -362,9 +390,8 @@ def test_later_head_restarts_an_emptied_span():
     block = PencilBlock(
         degree=3,
         sym_basis=SimpleNamespace(labels=[(3,), (2, 1), (1, 1, 1)]),
-        cyc_basis=None,
-        column=(0, 1, 1, 2),
-        a1=({}, {1: 1}, {0: 1, 1: 2}, {2: 6}),
+        dim_cyc=4,
+        rows=((({}, 1),), (({1: 1}, 1), ({0: 1, 1: 2}, 1)), (({2: 6}, 1),)),
     )
     sol = solve_pencil(block, 1)
     assert [(pr.value, pr.vector) for pr in sol.certified] == [(9, (0, 0, 1))]
@@ -398,21 +425,23 @@ def test_pencil_vectors_are_exact_eigenvectors():
     _assert_exact_eigenvectors(op, block, shared, ONE)
 
 
-def test_certified_vector_matches_oracle():
+# (9, 2, 9) at 19: m_(2,1^7) + (36/5) m_(1^9), 73 monomials
+@pytest.mark.parametrize("n, r, level", [(6, 2, 16), (9, 2, 19)])
+def test_certified_vector_matches_oracle(n, r, level):
     # exact/numeric agreement: a certified pencil eigenvector, evaluated as
     # psi0 * phi through the local-energy oracle, sits at its pencil eigenvalue
-    params = derive_params(6, 2, beta=1.0)
+    params = derive_params(n, r, beta=1.0)
     op = H1Operator.build(params)
-    block = build_pencil(op, 6)
+    block = build_pencil(op, n)
     sol = solve_pencil(block, 1.0)
-    target = [pr for pr in sol.certified if abs(pr.value - 16.0) < 1e-6]
+    target = [pr for pr in sol.certified if pr.value == level]
     assert target
     poly = vector_poly(block, target[0].vector)
     lam = exact_eigencheck(op, poly, ONE)
-    assert lam == 16
+    assert lam == level
     spec = StateSpec(POLY, poly=poly)
     report = verify_eigenstate(params, spec, count=300, seed=21)
-    assert report.reduced_mean == pytest.approx(16.0, rel=1e-8)
+    assert report.reduced_mean == pytest.approx(level, rel=1e-8)
     assert report.energy_stddev / (abs(report.energy_mean) + 1) < 1e-8
 
 
