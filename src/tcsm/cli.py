@@ -152,7 +152,7 @@ def _state_spec(name: str, q: int) -> StateSpec:
 def cmd_params(args) -> dict:
     params = derive_params(args.n, args.r, args.length, args.beta)
     enumerated = len(three_body_triples(params))
-    formula = triple_count_formula(params) if params.truncated else 0
+    formula = triple_count_formula(params)
     conflict = (args.n, args.r) in TABLE1_ROWS and TABLE1_ROWS[(args.n, args.r)] != int(
         ground_energy_coeff(params)
     )
@@ -187,25 +187,8 @@ def cmd_table1(args) -> dict:
     return {"rows": rows, "verdicts": verdicts}
 
 
-def cmd_verify_ground(args) -> dict:
+def _verify(args, spec: StateSpec) -> dict:
     params = derive_params(args.n, args.r, args.length, args.beta)
-    report = verify_eigenstate(
-        params,
-        StateSpec(GROUND),
-        count=args.samples,
-        seed=args.seed,
-        predicted=ground_energy_physical(params),
-        tol=args.tol,
-        min_sep_frac=args.min_sep_frac,
-    )
-    d = report.to_dict()
-    d["verdicts"] = [{"name": "ground", "verdict": report.verdict}]
-    return d
-
-
-def cmd_verify_excited(args) -> dict:
-    params = derive_params(args.n, args.r, args.length, args.beta)
-    spec = _state_spec(args.state, args.q)
     report = verify_eigenstate(
         params,
         spec,
@@ -220,6 +203,14 @@ def cmd_verify_excited(args) -> dict:
     return d
 
 
+def cmd_verify_ground(args) -> dict:
+    return _verify(args, StateSpec(GROUND))
+
+
+def cmd_verify_excited(args) -> dict:
+    return _verify(args, _state_spec(args.state, args.q))
+
+
 def cmd_spectrum(args) -> dict:
     params = derive_params(args.n, args.r, args.length, args.beta)
     op = H1Operator.build(params)
@@ -230,7 +221,7 @@ def cmd_spectrum(args) -> dict:
 
 def cmd_count_triples(args) -> dict:
     params = derive_params(args.n, args.r)
-    formula = triple_count_formula(params) if params.truncated else 0
+    formula = triple_count_formula(params)
     result = {"N": params.n, "r": params.r, "regime": params.regime, "formula": formula}
     verdict = PASS
     if args.enumerate_:

@@ -102,11 +102,6 @@ def dsin(x):
     return _chain(d, np.sin(d.v), np.cos(d.v), -np.sin(d.v))
 
 
-def dcos(x):
-    d = Dual2.lift(x)
-    return _chain(d, np.cos(d.v), -np.sin(d.v), -np.cos(d.v))
-
-
 def dlog(x):
     d = Dual2.lift(x)
     return _chain(d, np.log(d.v), 1.0 / d.v, -1.0 / (d.v * d.v))

@@ -22,10 +22,6 @@ class ParameterDomainError(ValueError):
     """Inputs (N, r, L, beta) outside the admissible domain."""
 
 
-class RegimeError(ValueError):
-    """A formula was evaluated outside its regime of validity."""
-
-
 def cyclic_distance(a: int, b: int, n: int) -> int:
     """Cyclic index distance min(|a-b|, n-|a-b|) for 0-based site indices."""
     d = abs(a - b) % n
@@ -163,9 +159,10 @@ def three_body_triples(params: ModelParams) -> list[tuple[int, int, int]]:
 
 
 def triple_count_formula(params: ModelParams) -> int:
-    """Closed-form three-body term count (N/2)(r-k)(r+k+1), truncated regime only."""
+    """Closed-form three-body term count (N/2)(r-k)(r+k+1); 0 in the full
+    regime, where every pair interacts and no triple has out-of-range ends."""
     if not params.truncated:
-        raise RegimeError("triple count formula applies only in the truncated regime")
+        return 0
     k = params.k
     count = Fraction(params.n, 2) * (params.r - k) * (params.r + k + 1)
     assert count.denominator == 1

@@ -3,12 +3,18 @@
 The local energy at sampled configurations is the authoritative check for
 every closed-form energy: a state is an eigenstate iff its local energy
 is configuration-independent, and the constant is the eigenvalue.
+
+The API is batch-only.  `sample_positions` returns positions of shape
+(count, N); `local_energy_batch` takes them and returns the local energies
+with a node mask, True where phi is too close to a node for the energy to
+hold.  One configuration is the batch x[None, :].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -20,14 +26,13 @@ from .model import (
     derive_params,
     ground_energy_coeff,
     ground_energy_physical,
+    triple_offsets,
 )
 from .wavefunction import (
-    BOOSTED,
     COS_SUM,
     E1,
     GROUND,
     SIN_SUM,
-    Configuration,
     StateSpec,
     _grad_log_psi0,
     _laplacian_by_site,
@@ -35,6 +40,7 @@ from .wavefunction import (
     _site_sum,
     _sites_first,
     _terms,
+    _unboost,
     csc2_by_site,
     grad_log_psi0,  # noqa: F401  re-exported: perfbench reads oracle.grad_log_psi0
     min_cyclic_separation,
@@ -58,19 +64,17 @@ def _three_body_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
 
     The term with center j and ends j - s, j + t is cot_s at site j - s
     times cot_t at site j, and is held at site j - s.  For each s the
-    allowed t of `triple_offsets` form one range,
-    r_eff - s + 1 <= t <= min(r_eff, N - s - r_eff - 1), so row s meets the
+    allowed t of `triple_offsets` form one range lo..hi, so row s meets the
     sum of the rows t in that range, shifted back by s, once.  The range
     starts one row lower at each s; while its top stays put, the sum grows
     by that one row.  Zero in the full regime.
     """
-    n, r_eff = params.n, params.r_eff
+    n = params.n
     total = np.zeros(cot.shape[1:])
     ends, top = None, None
-    for s in range(1, r_eff + 1):
-        lo, hi = r_eff - s + 1, min(r_eff, n - s - r_eff - 1)
-        if lo > hi:
-            continue
+    for s, group in groupby(triple_offsets(params), key=lambda st: st[0]):
+        ts = [t for _, t in group]
+        lo, hi = ts[0], ts[-1]
         ends = ends + cot[lo - 1] if hi == top else cot[lo - 1 : hi].sum(axis=0)
         top = hi
         c = cot[s - 1]
@@ -111,15 +115,6 @@ def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
     _, d, lap, inv, nodes = _phi_ratios(spec, params, xs)
     k = 2j * math.pi / params.length
     return real - (k * _site_sum(g0 * d) + 0.5 * k * k * lap) * inv, nodes
-
-
-def local_energy(params: ModelParams, spec: StateSpec, config: Configuration) -> complex:
-    from .wavefunction import NodeProximityError
-
-    e, nodes = local_energy_batch(params, spec, config.array()[None, :])
-    if nodes[0]:
-        raise NodeProximityError(f"phi({spec.label()}) node at this configuration")
-    return complex(e[0])
 
 
 def _presorted_min_separation(xs: np.ndarray, length: float) -> np.ndarray:
@@ -214,16 +209,6 @@ def sample_positions(
     )
 
 
-def sample_configurations(
-    params: ModelParams, count: int, seed: int, min_sep_frac: float = 1e-3
-) -> list[Configuration]:
-    xs = sample_positions(params, count, seed, min_sep_frac)
-    return [
-        Configuration(x=tuple(row.tolist()), min_sep=float(min_cyclic_separation(row, params.length)))
-        for row in xs
-    ]
-
-
 # -- reduced-unit conversion ----------------------------------------------
 
 def conversion_coefficient() -> float:
@@ -258,21 +243,18 @@ def predicted_reduced_level(spec: StateSpec, params: ModelParams) -> float | Non
     """Closed-form eps - eps0 for the known states; None if no prediction.
 
     The levels are `model.closed_form_levels`; the cos and sin sums share
-    the e1 level.
+    the e1 level.  A boost by q multiplies phi of degree d by G^q, which
+    raises the level by 2 q d + N q^2; nested boosts add their q first.
+    A boosted state of mixed degree (cos, sin) has no prediction.
     """
-    n = params.n
+    base, q = _unboost(spec)
     table = closed_form_levels(params, params.beta)
     table.update({GROUND: 0.0, COS_SUM: table[E1], SIN_SUM: table[E1]})
-    if spec.kind in table:
-        return table[spec.kind]
-    if spec.kind == BOOSTED:
-        base = predicted_reduced_level(spec.base, params)
-        d = state_degree(spec.base, n)
-        if base is None or d is None:
-            return None
-        q = spec.q
-        return base + 2.0 * q * d + n * q * q
-    return None
+    level = table.get(base.kind)
+    if level is None or base is spec:
+        return level
+    d = state_degree(base, params.n)
+    return None if d is None else level + 2.0 * q * d + params.n * q * q
 
 
 def predicted_physical(spec: StateSpec, params: ModelParams) -> float | None:
@@ -308,21 +290,7 @@ class ResidualReport:
     tol: float = 1e-8
 
     def to_dict(self) -> dict:
-        return {
-            "state": self.state,
-            "samples": self.samples,
-            "energy_mean": self.energy_mean,
-            "energy_stddev": self.energy_stddev,
-            "max_abs_dev": self.max_abs_dev,
-            "imag_ratio": self.imag_ratio,
-            "reduced_mean": self.reduced_mean,
-            "predicted": self.predicted,
-            "predicted_reduced": self.predicted_reduced,
-            "verdict": self.verdict,
-            "unit_note": self.unit_note,
-            "node_rejections": self.node_rejections,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite statistic

@@ -2,7 +2,10 @@
 
 All evaluation is log-domain and vectorized.  The public functions take
 position arrays of shape (..., N), broadcast over the leading axes and move
-the site axis only at their boundary.  Inside, every kernel works sites
+the site axis only at their boundary.  There is no single-configuration
+API: one configuration is the batch x[None, :], and `phi_eval_batch`
+returns the values with a node mask, True where phi is too close to a
+node for its ratios to hold.  Inside, every kernel works sites
 first, on (N, ...) arrays (`_sites_first`): pair sums run over one row per
 cyclic distance (`pair_cot`, shape (r_eff, N, ...)), a shift to a partner
 site moves whole rows, and sums over sites are taken pairwise (`_site_sum`).
@@ -33,10 +36,6 @@ NODE_RTOL = 1e-6
 
 class SeparationError(ArithmeticError):
     """Two particles are (numerically) coincident."""
-
-
-class NodeProximityError(ArithmeticError):
-    """The excitation factor is too close to a node; local energy undefined."""
 
 
 # state kinds
@@ -80,25 +79,6 @@ class StateSpec:
         if self.kind == BOOSTED:
             return f"boosted(q={self.q}, {self.base.label()})"
         return self.kind
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """N particle positions on the circle with their minimum cyclic separation."""
-
-    x: tuple[float, ...]
-    min_sep: float
-
-    @staticmethod
-    def from_positions(x, length: float) -> "Configuration":
-        arr = np.asarray(x, dtype=float) % length
-        sep = min_cyclic_separation(arr, length)
-        if not sep > 0:
-            raise SeparationError("coincident positions")
-        return Configuration(x=tuple(arr.tolist()), min_sep=float(sep))
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.x, dtype=float)
 
 
 def min_cyclic_separation(x: np.ndarray, length: float) -> np.ndarray:
@@ -355,13 +335,4 @@ def phi_eval_batch(spec: StateSpec, params: ModelParams, x: np.ndarray):
     phi, d, lap, inv, nodes = _phi_ratios(spec, params, _sites_first(x))
     w = 2j * math.pi / params.length
     return phi, np.moveaxis(w * d * inv, 0, -1), w * w * lap * inv, nodes
-
-
-def phi_eval(spec: StateSpec, params: ModelParams, config: Configuration):
-    """Single-configuration wrapper; raises NodeProximityError at a node."""
-    x = config.array()[None, :]
-    phi, grad_ratio, lap_ratio, nodes = phi_eval_batch(spec, params, x)
-    if nodes[0]:
-        raise NodeProximityError(f"phi({spec.label()}) too close to a node")
-    return phi[0], grad_ratio[0], lap_ratio[0]
 

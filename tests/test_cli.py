@@ -88,6 +88,16 @@ def test_verify_ground_pass():
     assert abs(data["energy_mean"] - 5.0) < 1e-8  # 20 * pi^2/L^2 at L = 2*pi
 
 
+@pytest.mark.parametrize("n, r", [(6, 2), (9, 4)])
+def test_verify_ground_is_verify_excited_ground(n, r):
+    common = ("--n", str(n), "--r", str(r), "--samples", "200", "--seed", "3")
+    code_g, out_g = run_cli("verify-ground", *common)
+    code_e, out_e = run_cli("verify-excited", "--state", "ground", *common)
+    ground, excited = json.loads(out_g), json.loads(out_e)
+    assert (ground.pop("command"), excited.pop("command")) == ("verify-ground", "verify-excited")
+    assert (code_g, ground) == (code_e, excited)
+
+
 def test_verify_excited_states():
     for state, reduced in [("e1", 5.0), ("en", 6.0), ("nondeg", 10.0)]:
         code, out = run_cli(

@@ -8,7 +8,6 @@ from tcsm.model import (
     FULL,
     TRUNCATED,
     ParameterDomainError,
-    RegimeError,
     cyclic_distance,
     derive_params,
     ground_energy_coeff,
@@ -130,10 +129,6 @@ def test_triple_formula_matches_enumeration():
     for n in range(3, 15):
         for r in range(1, 7):
             p = derive_params(n, r)
-            if not p.truncated:
-                with pytest.raises(RegimeError):
-                    triple_count_formula(p)
-                continue
             assert triple_count_formula(p) == len(three_body_triples(p))
 
 

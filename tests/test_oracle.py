@@ -23,12 +23,10 @@ from tcsm.oracle import (
     _three_body_by_site,
     conversion_coefficient,
     conversion_factor,
-    local_energy,
     local_energy_batch,
     potential_energy,
     predicted_physical,
     predicted_reduced_level,
-    sample_configurations,
     sample_positions,
     to_reduced,
     verify_eigenstate,
@@ -45,8 +43,6 @@ from tcsm.wavefunction import (
     NONDEG_ZERO,
     POLY,
     SIN_SUM,
-    Configuration,
-    NodeProximityError,
     StateSpec,
     _sites_first,
     grad_log_psi0,
@@ -428,13 +424,6 @@ def test_sampling_acceptance_rate():
     assert rate > 0.9
 
 
-def test_sample_configurations_wrapper():
-    p = derive_params(5, 2)
-    configs = sample_configurations(p, 8, seed=2)
-    assert len(configs) == 8
-    assert all(isinstance(c, Configuration) and c.min_sep > 0 for c in configs)
-
-
 def test_conversion_is_two():
     # two published derivations of this constant disagree by a factor 2; the
     # oracle measures it from the r=1 e1 level, 1 + 2*beta reduced units
@@ -491,10 +480,10 @@ def test_full_regime_ground():
 
 
 def test_node_error_at_equispaced():
+    # e1 = sum z vanishes at equispaced sites: a batch of one shows the node in its mask
     p = derive_params(6, 2)
-    cfg = Configuration.from_positions(np.arange(6) * p.length / 6, p.length)
-    with pytest.raises(NodeProximityError):
-        local_energy(p, StateSpec(E1), cfg)
+    _, nodes = local_energy_batch(p, StateSpec(E1), (np.arange(6) * p.length / 6)[None, :])
+    assert nodes.tolist() == [True]
 
 
 def test_parity_degeneracy_oracle():
@@ -536,6 +525,23 @@ def test_boosted_prediction_uses_operator_shift():
     assert predicted_reduced_level(spec, p) == pytest.approx(6 + 48)
     report = verify_eigenstate(p, spec, count=300, seed=7, predicted=predicted_physical(spec, p))
     assert report.verdict == PASS
+
+
+@pytest.mark.parametrize("q1, q2", [(1, 2), (-1, 3), (2, -2)])
+def test_nested_boosts_predict_their_sum(q1, q2):
+    p = derive_params(8, 3, beta=1.7)
+    for kind in (GROUND, E1, ENM1, EN, COMBO, NONDEG_ZERO):
+        nested = StateSpec(BOOSTED, q=q1, base=StateSpec(BOOSTED, q=q2, base=StateSpec(kind)))
+        single = StateSpec(BOOSTED, q=q1 + q2, base=StateSpec(kind))
+        assert predicted_reduced_level(nested, p) == pytest.approx(
+            predicted_reduced_level(single, p), rel=1e-12, abs=0.0
+        ), kind
+    poly = StateSpec(POLY, poly=LaurentPoly(8, {(1,) + (0,) * 7: Fraction(1)}))
+    for spec in (StateSpec(COS_SUM), StateSpec(SIN_SUM), poly):
+        assert predicted_reduced_level(StateSpec(BOOSTED, q=q1, base=spec), p) is None
+        nested = StateSpec(BOOSTED, q=q1, base=StateSpec(BOOSTED, q=q2, base=spec))
+        assert predicted_reduced_level(nested, p) is None
+    assert predicted_reduced_level(poly, p) is None
 
 
 def test_to_reduced_roundtrip():

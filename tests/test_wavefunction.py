@@ -22,8 +22,6 @@ from tcsm.wavefunction import (
     POLY,
     SIN_SUM,
     BOOSTED,
-    Configuration,
-    NodeProximityError,
     SeparationError,
     StateSpec,
     _site_sum,
@@ -31,7 +29,6 @@ from tcsm.wavefunction import (
     laplacian_ratio_psi0,
     log_psi0,
     min_cyclic_separation,
-    phi_eval,
     phi_eval_batch,
     phi_node_scale,
 )
@@ -201,28 +198,27 @@ def test_coincident_pair_rejected(evaluate, second, site):
 
 def test_phi_ground_identity():
     p = derive_params(6, 2)
-    cfg = Configuration.from_positions(sample_positions(p, 1, seed=1)[0], p.length)
-    phi, gr, lr = phi_eval(StateSpec(GROUND), p, cfg)
+    (phi,), (gr,), (lr,), (node,) = phi_eval_batch(StateSpec(GROUND), p, sample_positions(p, 1, seed=1))
     assert phi == 1.0 + 0j
     np.testing.assert_allclose(gr, 0.0)
     assert lr == 0.0
+    assert not node
 
 
 def test_phi_e1_node_at_equispaced():
     p = derive_params(6, 2)
-    cfg = Configuration.from_positions(equispaced(6), p.length)
-    with pytest.raises(NodeProximityError):
-        phi_eval(StateSpec(E1), p, cfg)
+    *_, nodes = phi_eval_batch(StateSpec(E1), p, equispaced(6)[None, :])
+    assert nodes.tolist() == [True]
 
 
 def test_phi_en_closed_form():
     p = derive_params(6, 2)
-    cfg = Configuration.from_positions(sample_positions(p, 1, seed=7)[0], p.length)
-    phi, gr, lr = phi_eval(StateSpec(EN), p, cfg)
+    (phi,), (gr,), (lr,), (node,) = phi_eval_batch(StateSpec(EN), p, sample_positions(p, 1, seed=7))
     w = 2j * math.pi / p.length
     np.testing.assert_allclose(gr, np.full(6, w), rtol=1e-12)
     assert lr == pytest.approx(-6 * (2 * math.pi / p.length) ** 2, rel=1e-12)
     assert abs(phi) == pytest.approx(1.0, rel=1e-12)
+    assert not node
 
 
 def test_nondeg_state_parity_invariant():
@@ -339,7 +335,3 @@ def test_min_separation_matches_pairwise_reference():
         for x in (batched, wrapped, rng.permuted(wrapped, axis=-1), batched[0, 0]):
             np.testing.assert_array_equal(min_cyclic_separation(x, L), pairwise_min_separation(x, L))
 
-
-def test_configuration_min_sep():
-    cfg = Configuration.from_positions([0.0, 1.0, 2.0, 3.5], L)
-    assert cfg.min_sep == pytest.approx(1.0)
