@@ -1,11 +1,12 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
 Coefficients are exact rationals (`Fraction`).  `spectral.apply_H1` uses
-only `exact_divide` from here, on integer coefficients: it forms D_j and
-the product by z_a + z_b itself, term by term.  The generic ring operations
-(`apply_D`, `__mul__`, `__add__`, ...) are the reference for it in the
-tests; the degree-block pencils are built from their integer closed form
-over the orbit-sum bases here, necklaces enumerated per partition.
+none of the ring operations: it forms D_j, the product by z_a + z_b and the
+quotient by z_a - z_b itself, in integers.  The generic ring operations
+(`apply_D`, `__mul__`, `__add__`, ...) and `exact_divide` are the reference
+for it in the tests; the degree-block pencils are built from their integer
+closed form over the orbit-sum bases here, necklaces enumerated per
+partition.
 
 Exponent vectors are plain int tuples; negative exponents are allowed.
 Serialization uses a canonical graded-lexicographic term order so goldens
@@ -55,7 +56,8 @@ class LaurentPoly:
     @staticmethod
     def monomial(nvars: int, exps: Iterable[int], coeff=1) -> "LaurentPoly":
         e = tuple(exps)
-        assert len(e) == nvars
+        if len(e) != nvars:
+            raise ValueError(f"need {nvars} exponents, got {len(e)}")
         return LaurentPoly(nvars, {e: Fraction(coeff)})
 
     @staticmethod

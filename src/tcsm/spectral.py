@@ -18,10 +18,11 @@ exact embedding of the symmetric basis into the cyclic-invariant basis.
 their necklace counts, read off the basis labels.  Each block is triangular
 in dominance order, so `solve_pencil` solves it exactly, with no threshold.
 `apply_H1` applies the operator to one polynomial, behind the exact eigen,
-parity and boost checks: it clears denominators once, forms the diagonal
-and each pair's drift numerator in integers, makes one exact division per
-drift pair and builds each output Fraction once.  The generic Laurent ring
-operations are its reference in the tests.
+parity and boost checks: it clears denominators once, packs each exponent
+vector into one int, reads each drift pair's quotient by z_a - z_b off
+suffix sums of that pair's numerator coefficients in one pass, and builds
+each output Fraction once.  The generic Laurent ring operations and
+`polyalg.exact_divide` are its reference in the tests.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .polyalg import (
     CYCLIC,
     SYMMETRIC,
     BasisSet,
+    DivisionError,
     LaurentPoly,
     basis,
-    exact_divide,
 )
 
 
@@ -59,45 +60,91 @@ class H1Operator:
 def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
     """Apply the transformed operator exactly, at a given beta.
 
-    p is scaled once to integer coefficients; the diagonal sum_j D_j^2 and,
-    per drift pair, the numerator (z_a + z_b)(D_a - D_b)p are formed in
-    integers, and each coefficient becomes a Fraction once, at the end.
+    p is scaled once to integer coefficients, and each exponent vector is
+    packed into one int: digit j is e_j - lo in base 2 (span + 1), lo and
+    span the least exponent of p and the range of its exponents.  The
+    diagonal sum_j D_j^2 and each drift pair's quotient (see `_drift`) are
+    summed in integers on these codes; each distinct code is unpacked, and
+    its coefficient becomes a Fraction, once, at the end.
 
-    For beta != 0, divisibility of (D_a - D_b)p by (z_a - z_b) is checked,
-    not assumed (DivisionError otherwise).  It holds exactly when, in every
-    group of terms c_k z_a^k z_b^(s-k) sharing s and the other exponents,
+    For beta != 0, divisibility by (z_a - z_b) is checked, not assumed
+    (DivisionError otherwise).  It holds exactly when, in every group of
+    terms c_k z_a^k z_b^(s-k) sharing s and the other exponents,
     sum_k (2k - s) c_k = 0; a<->b exchange symmetry is sufficient, not
     necessary.
     """
     n = op.params.n
     if p.nvars != n:
         raise ValueError("variable count mismatch")
+    if not p:
+        return LaurentPoly.zero(n)
     beta = Fraction(beta)
     den = lcm(*(c.denominator for c in p.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    diag = {e: c * sum(x * x for x in e) for e, c in ints.items()}
-    drift = _drift(op, ints) if beta else {}
+    exps = list(p.terms)
+    ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+    lo = min(map(min, exps))
+    # base > 2 span, the range of s = e_a + e_b, so that no two of `_drift`'s
+    # groups share a key
+    base = 2 * (max(map(max, exps)) - lo + 1)
+    place = [base**j for j in range(n)]
+    codes = [sum((x - lo) * w for x, w in zip(e, place)) for e in exps]
+    diag = {code: c * sum(x * x for x in e) for code, e, c in zip(codes, exps, ints)}
+    drift = _drift(op.drift_pairs, exps, codes, ints, place) if beta else {}
+    unpacked = dict(zip(codes, exps))
     scale = den * beta.denominator
-    return LaurentPoly(n, {
-        e: Fraction(diag.get(e, 0) * beta.denominator + beta.numerator * drift.get(e, 0), scale)
-        for e in diag | drift
-    })
+    out = {}
+    for code in diag | drift:
+        value = diag.get(code, 0) * beta.denominator + beta.numerator * drift.get(code, 0)
+        if value:
+            e = unpacked.get(code)
+            if e is None:
+                e = _unpack(code, n, base, lo)
+            out[e] = Fraction(value, scale)
+    return LaurentPoly(n, out)
 
 
-def _drift(op: H1Operator, ints: dict) -> dict:
-    """sum over pairs of (z_a + z_b)(D_a - D_b)p / (z_a - z_b), p given by
-    its integer coefficients; one exact division per pair that moves p."""
-    drift: dict[tuple[int, ...], int] = {}
-    for a, b in op.drift_pairs:
-        moved: dict[tuple[int, ...], int] = {}
-        for e, c in ints.items():
-            k = (e[a] - e[b]) * c
-            if k:
-                for up in (e[:a] + (e[a] + 1,) + e[a + 1:], e[:b] + (e[b] + 1,) + e[b + 1:]):
-                    moved[up] = moved.get(up, 0) + k
-        if moved:
-            for e, c in exact_divide(LaurentPoly(op.params.n, moved), a, b).terms.items():
-                drift[e] = drift.get(e, 0) + c
+def _unpack(code: int, n: int, base: int, lo: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(n):
+        code, d = divmod(code, base)
+        digits.append(d + lo)
+    return tuple(digits)
+
+
+def _drift(pairs, exps, codes, ints, place) -> dict[int, int]:
+    """sum over pairs of (z_a + z_b)(D_a - D_b)p / (z_a - z_b), by code.
+
+    For one pair, the terms of p sharing the other exponents and s = e_a + e_b
+    form a group sum_k c_k z_a^k z_b^(s-k).  With M_k = (2k - s) c_k and
+    w = z_a/z_b the group's quotient is z_b^s (w + 1) M(w) / (w - 1): it
+    exists exactly when sum_k M_k = 0, and its z_a^k z_b^(s-k) coefficient
+    is M_k + 2 sum_{k' > k} M_k', a suffix sum, from the group's largest k
+    down to its least.  code - e_a (B^a - B^b) depends only on s and the
+    other exponents, so it names the group, and adding k (B^a - B^b) to it
+    gives the code of z_a^k z_b^(s-k), whose two digits stay in range.
+    """
+    cols = list(zip(*exps))
+    drift: dict[int, int] = {}
+    for a, b in pairs:
+        step = place[a] - place[b]
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for ea, eb, code, c in zip(cols[a], cols[b], codes, ints):
+            if ea != eb:
+                groups.setdefault(code - ea * step, []).append((ea, (ea - eb) * c))
+        for origin, members in groups.items():
+            members.sort(reverse=True)
+            above = 0  # sum of M_k' over k' > k
+            top = members[0][0] + 1
+            for k, m in members:
+                for j in range(k + 1, top):  # no term of p: M_j = 0
+                    code = origin + j * step
+                    drift[code] = drift.get(code, 0) + 2 * above
+                code = origin + k * step
+                drift[code] = drift.get(code, 0) + m + 2 * above
+                above += m
+                top = k
+            if above:  # sum_k M_k
+                raise DivisionError(f"polynomial not divisible by (z_a - z_b) for pair ({a}, {b})")
     return drift
 
 

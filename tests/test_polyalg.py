@@ -71,6 +71,12 @@ def test_zero_terms_pruned():
     assert p.canonical() == "0"
 
 
+@pytest.mark.parametrize("exps", [(1, 2), (1, 2, 3, 4), ()])
+def test_monomial_rejects_wrong_exponent_count(exps):
+    with pytest.raises(ValueError, match="3 exponents"):
+        LaurentPoly.monomial(NV, exps)
+
+
 def test_e2_e1_matches_brute_expansion():
     product = elementary_symmetric(2, 3) * elementary_symmetric(1, 3)
     brute = LaurentPoly.zero(3)

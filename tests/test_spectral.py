@@ -155,32 +155,66 @@ def _reference_apply_H1(op, p, beta):
 
 @st.composite
 def operator_inputs(draw):
-    """(op, p, beta): p raw, summed over rotations, or (N <= 4) summed over
-    every permutation of the variables; Laurent exponents, rational
+    """(op, p, beta): p raw, summed over rotations, (N <= 4) summed over every
+    permutation of the variables, or summed over a split orbit for one drift
+    pair, which is then op's only pair; Laurent exponents, rational
     coefficients."""
     n = draw(st.integers(3, 6))
     r = draw(st.integers(1, n // 2 + 1))
-    exps = st.tuples(*[st.integers(-2, 3)] * n)
+    op = operator(n, r)
+    exps = st.tuples(*[st.integers(-4, 9)] * n)
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    terms = draw(st.dictionaries(exps, coeffs, max_size=4))
-    orbit = draw(st.sampled_from([
-        lambda e: [e],
-        lambda e: [e[k:] + e[:k] for k in range(n)],
-        lambda e: set(permutations(e)) if n <= 4 else [e],
-    ]))
+    terms = draw(st.dictionaries(exps, coeffs, max_size=6))
+    kind = draw(st.sampled_from(["raw", "rotations", "permutations", "split"]))
+    a, b = draw(st.sampled_from(op.drift_pairs))
+    shift = draw(st.integers(1, 3))
+    weight = draw(coeffs)
+
+    def orbit(e):
+        if kind == "rotations":
+            return [(e[k:] + e[:k], ONE) for k in range(n)]
+        if kind == "permutations" and n <= 4:
+            return [(f, ONE) for f in set(permutations(e))]
+        if kind == "split":
+            # e, its a<->b swap times `weight`, and e times (z_a/z_b)^shift with
+            # the coefficient that makes sum_k (2k - s) c_k of the three vanish:
+            # a group of three or more that divides without exchange symmetry
+            swap, moved = list(e), list(e)
+            swap[a], swap[b] = e[b], e[a]
+            moved[a] += shift
+            moved[b] -= shift
+            d = e[a] - e[b]
+            fill = Fraction(d) * (weight - 1) / (d + 2 * shift) if d + 2 * shift else ONE
+            return [(e, ONE), (tuple(swap), weight), (tuple(moved), fill)]
+        return [(e, ONE)]
+
+    if kind == "split":
+        op = H1Operator(params=op.params, drift_pairs=((a, b),))
     sym = {}
     for e, c in terms.items():
-        for f in orbit(e):
-            sym[f] = sym.get(f, 0) + c
+        for f, w in orbit(e):
+            sym[f] = sym.get(f, 0) + c * w
     beta = draw(st.one_of(st.integers(-3, 3).filter(bool),
                           st.fractions(max_value=Fraction(-1, 7), max_denominator=7),
                           st.just(0)))
-    return operator(n, r), LaurentPoly(n, sym), beta
+    return op, LaurentPoly(n, sym), beta
+
+
+PAIR01 = H1Operator(params=derive_params(3, 1), drift_pairs=((0, 1),))
 
 
 @given(operator_inputs())
 @example((operator(4, 1), elementary_symmetric(2, 4), Fraction(-1, 3)))
 @example((operator(5, 2), power_sum(-1, 5) * elementary_symmetric(2, 5), 2))
+# one group of three with sum_k (2k - 5) c_k = -15 - 3 + 18 = 0; with 5 in
+# place of 6 the sum is -3, and it does not divide
+@example((PAIR01, LaurentPoly(3, {(0, 5, 0): Fraction(3), (1, 4, 0): ONE, (4, 1, 0): Fraction(6)}), ONE))
+@example((PAIR01, LaurentPoly(3, {(0, 5, 0): Fraction(3), (1, 4, 0): ONE, (4, 1, 0): Fraction(5)}), ONE))
+# exponents -3..12: neither group, (s, e_2) = (0, 0) or (16, -1), divides,
+# but their sums -6 and 8 * 3/4 cancel if a packing base of only
+# span + 1 = 16 gives them one key
+@example((PAIR01, LaurentPoly(3, {(-3, 3, 0): ONE, (12, 4, -1): Fraction(3, 4)}), ONE))
+@example((operator(4, 1), LaurentPoly.zero(4), 2))
 @settings(max_examples=100, deadline=None)
 def test_apply_H1_matches_generic_algebra(case):
     op, p, beta = case
@@ -487,6 +521,20 @@ def test_boost_shifts_match_operator_form():
         assert bc.shift == bc.shift_operator_form
         if q:
             assert bc.matches in ("operator", "both")
+
+
+def test_exact_checks_at_n24():
+    n, r = 24, 8
+    op = operator(n, r)
+    e1, enm1, en = states(n)
+    rb = 2 * r
+    combo = e1 * enm1 - en.scale(Fraction(n, 1 + rb))
+    assert exact_eigencheck(op, combo, ONE) == 24 + 2 * (1 + 16)
+    kappa0 = e1 * power_sum(-1, n) - LaurentPoly.constant(n, Fraction(n, 1 + rb))
+    res = parity_partner(op, kappa0, ONE)
+    assert res.self_paired and res.lam == res.lam_partner == 2 + 2 * 16
+    for q in (-1, 1, 2):
+        assert boost_shift_check(op, enm1, q, ONE).matches == "operator"
 
 
 def test_boost_q0_is_identity():
