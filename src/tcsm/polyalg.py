@@ -5,8 +5,8 @@ none of the ring operations: it forms D_j, the product by z_a + z_b and the
 quotient by z_a - z_b itself, in integers.  The generic ring operations
 (`apply_D`, `__mul__`, `__add__`, ...) and `exact_divide` are the reference
 for it in the tests; the degree-block pencils are built from their integer
-closed form over the orbit-sum bases here, necklaces enumerated per
-partition.
+closed form over the orbit-sum bases here, each partition's necklaces
+generated directly.
 
 Exponent vectors are plain int tuples; negative exponents are allowed.
 Serialization uses a canonical graded-lexicographic term order so goldens
@@ -15,6 +15,7 @@ are stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -273,10 +274,57 @@ def monomial_symmetric(partition: tuple[int, ...], nvars: int) -> LaurentPoly:
     return LaurentPoly(nvars, {e: ONE for e in _arrangements(partition, nvars)})
 
 
-def cyclic_representative(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """Canonical representative of the cyclic rotation orbit (lexicographic max)."""
-    n = len(exps)
-    return max(exps[i:] + exps[:i] for i in range(n))
+def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
+    """Necklaces whose content is the zero-padded partition, lex descending,
+    each the lexicographic max of its rotations.
+
+    Sawada's fixed-content prenecklace recursion (J. Sawada, Theoret.
+    Comput. Sci. 301, 2003) with the alphabet reversed, run as a loop so that
+    N is not bounded by the recursion limit.  Position t takes each value, in
+    decreasing order, that is at most a[t - p] (p the period of a[:t]) while
+    its count lasts; a full word is a necklace when its period divides N.
+    No rotation is built and nothing else is filtered.
+    """
+    if len(partition) > nvars:
+        raise ValueError(f"partition {partition} has more than {nvars} parts")
+    if nvars == 0:
+        return []
+    counts = Counter(partition)
+    counts[0] += nvars - len(partition)
+    values = sorted((v for v in counts if counts[v]), reverse=True)
+    left = [counts[v] for v in values]  # by rank; rank 0 is the largest value
+    n, k = nvars, len(values)
+    a = [0] * n  # the word, as ranks
+    word = [values[0]] * n
+    if n == 1:
+        return [tuple(word)]
+    period = [1] * (n + 1)  # period[t]: period of a[:t]
+    left[0] -= 1  # a[0] is the largest value
+    out = []
+    t, j = 1, 0  # place at position t a rank >= j
+    while True:
+        while j < k and not left[j]:
+            j += 1
+        if j == k:  # position t is exhausted: back up to t - 1
+            t -= 1
+            if t == 0:
+                return out
+            j = a[t]
+            left[j] += 1
+            j += 1
+            continue
+        a[t] = j
+        word[t] = values[j]
+        p = period[t] if j == a[t - period[t]] else t + 1
+        if t + 1 == n:  # one symbol was left, so this is the only word here
+            if n % p == 0:
+                out.append(tuple(word))
+            j = k
+            continue
+        left[j] -= 1
+        t += 1
+        period[t] = p
+        j = a[t - p]
 
 
 def cyclic_orbit_sum(rep: tuple[int, ...]) -> LaurentPoly:
@@ -326,10 +374,7 @@ def basis(kind: str, nvars: int, degree: int) -> BasisSet:
         raise ValueError(f"unknown basis kind {kind!r}")
     labels = sorted(partitions(degree, nvars), reverse=True)
     if kind == CYCLIC:
-        # a necklace, the lex max of its rotations, starts with its largest part
-        heads = ((lam[:1] or (0,)) + tail for lam in labels
-                 for tail in _arrangements(lam[1:], nvars - 1))
-        labels = [e for e in heads if e == cyclic_representative(e)]
+        labels = [rho for lam in labels for rho in necklaces(lam, nvars)]
     return BasisSet(kind=kind, nvars=nvars, degree=degree, labels=tuple(labels))
 
 

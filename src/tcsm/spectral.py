@@ -34,12 +34,12 @@ from math import gcd, lcm, pi
 
 from .model import ModelParams, ParameterDomainError, closed_form_levels, interaction_pairs
 from .polyalg import (
-    CYCLIC,
     SYMMETRIC,
     BasisSet,
     DivisionError,
     LaurentPoly,
     basis,
+    necklaces,
 )
 
 
@@ -194,7 +194,7 @@ def _split_run(lam: tuple[int, ...], low: int, high: int, index: dict) -> list[t
 
 
 def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
-    """Degree-d block read off the basis labels, in integers.
+    """Degree-d block read off each partition's necklaces, in integers.
 
     For m > n the drift of pair (a, b) maps z_a^m z_b^n + z_a^n z_b^m to
     (m - n) times
@@ -212,15 +212,14 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
         raise ParameterDomainError("degree must be >= 1")
     n, pairs, width = op.params.n, op.drift_pairs, degree + 1
     sym = basis(SYMMETRIC, n, degree)
-    cyc = basis(CYCLIC, n, degree)
     padded = [lam + (0,) * (n - len(lam)) for lam in sym.labels]  # N parts each
     index = {lam: j for j, lam in enumerate(padded)}
     # an unordered pair of values {x, y}, x <= y, as the one int x * width + y
     code = [[min(x, y) * width + max(x, y) for y in range(width)] for x in range(width)]
     keys = Counter(
-        (index[tuple(sorted(rho, reverse=True))],
-         tuple(sorted([code[rho[a]][rho[b]] for a, b in pairs])))
-        for rho in cyc.labels
+        (k, tuple(sorted([code[rho[a]][rho[b]] for a, b in pairs])))
+        for k, lam in enumerate(sym.labels)
+        for rho in necklaces(lam, n)
     )
     runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
     rows: list[list[tuple[dict[int, int], int]]] = [[] for _ in sym.labels]
@@ -233,7 +232,9 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
             for j, w in run:
                 row[j] = row.get(j, 0) + w
         rows[k].append((row, count))
-    return PencilBlock(degree=degree, sym_basis=sym, dim_cyc=len(cyc), rows=tuple(map(tuple, rows)))
+    return PencilBlock(
+        degree=degree, sym_basis=sym, dim_cyc=sum(keys.values()), rows=tuple(map(tuple, rows))
+    )
 
 
 @dataclass(frozen=True)

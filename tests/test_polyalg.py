@@ -1,6 +1,7 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby, permutations
-from math import comb, gcd
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +12,12 @@ from tcsm.polyalg import (
     SYMMETRIC,
     DivisionError,
     LaurentPoly,
+    _arrangements,
     basis,
-    cyclic_representative,
     elementary_symmetric,
     exact_divide,
     monomial_symmetric,
+    necklaces,
     partitions,
     power_sum,
     project,
@@ -203,12 +205,19 @@ def compositions(d, parts):
             yield (first,) + tail
 
 
+def cyclic_representative(exps):
+    """Canonical representative of the cyclic rotation orbit (lexicographic max)."""
+    return max(exps[i:] + exps[:i] for i in range(len(exps)))
+
+
+def _phi(t):
+    return sum(1 for k in range(1, t + 1) if gcd(k, t) == 1)
+
+
 def necklace_count(n, d):
     """Burnside: (1/N) sum over t | gcd(N, d) of phi(t) C(N/t + d/t - 1, d/t)."""
-    def phi(t):
-        return sum(1 for k in range(1, t + 1) if gcd(k, t) == 1)
     g = gcd(n, d)
-    total = sum(phi(t) * comb(n // t + d // t - 1, d // t) for t in range(1, g + 1) if g % t == 0)
+    total = sum(_phi(t) * comb(n // t + d // t - 1, d // t) for t in range(1, g + 1) if g % t == 0)
     assert total % n == 0
     return total // n
 
@@ -222,6 +231,60 @@ def test_cyclic_basis_counts_and_labels(n):
         # grouped by partition, partitions in the symmetric basis's order
         parts = [tuple(sorted((x for x in e if x), reverse=True)) for e in labels]
         assert [lam for lam, _ in groupby(parts)] == list(basis(SYMMETRIC, n, d).labels)
+
+
+def filtered_cyclic_labels(n, d):
+    """The cyclic basis as an arrangement filter: each partition's distinct
+    arrangements that start with its largest part, lex descending, kept when
+    equal to their cyclic representative."""
+    return [
+        e
+        for lam in sorted(partitions(d, n), reverse=True)
+        for e in ((lam[:1] or (0,)) + tail for tail in _arrangements(lam[1:], n - 1))
+        if e == cyclic_representative(e)
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_cyclic_basis_matches_arrangement_filter(n):
+    for d in range(11):
+        assert list(basis(CYCLIC, n, d).labels) == filtered_cyclic_labels(n, d)
+
+
+def fixed_content_count(partition, n):
+    """Burnside with no enumeration: (1/N) sum over t | g of
+    phi(t) (N/t)! / prod_i (m_i/t)!, where m_i are the multiplicities of the
+    zero-padded partition and g is their gcd."""
+    mults = list(Counter(partition + (0,) * (n - len(partition))).values())
+    g = gcd(*mults)
+    total = sum(
+        _phi(t) * factorial(n // t) // prod(factorial(m // t) for m in mults)
+        for t in range(1, g + 1)
+        if g % t == 0
+    )
+    assert total % n == 0
+    return total // n
+
+
+@pytest.mark.parametrize("n, total", [(9, 2_704), (10, 9_252), (12, 112_720), (13, 400_024)])
+def test_necklaces_match_burnside_count(n, total):
+    counts = [fixed_content_count(lam, n) for lam in partitions(n, n)]
+    assert sum(counts) == total
+    assert [len(necklaces(lam, n)) for lam in partitions(n, n)] == counts
+
+
+def test_necklaces_at_large_n():
+    # the down-set of (2, 1^(N-2)) at degree N: the 0 at each offset from the 2
+    n = 512
+    got = necklaces((2,) + (1,) * (n - 2), n)
+    assert len(got) == n - 1 == fixed_content_count((2,) + (1,) * (n - 2), n)
+    assert got[0] == (2,) + (1,) * (n - 2) + (0,) and got[-1] == (2, 0) + (1,) * (n - 2)
+    assert necklaces((1,) * n, n) == [(1,) * n]
+
+
+def test_necklaces_reject_too_many_parts():
+    with pytest.raises(ValueError):
+        necklaces((1, 1, 1), 2)
 
 
 def test_monomial_symmetric_is_symmetric():
