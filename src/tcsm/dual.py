@@ -99,7 +99,8 @@ def _chain(x, f, fp, fpp):
 
 def dsin(x):
     d = Dual2.lift(x)
-    return _chain(d, np.sin(d.v), np.cos(d.v), -np.sin(d.v))
+    s = np.sin(d.v)
+    return _chain(d, s, np.cos(d.v), -s)
 
 
 def dlog(x):

@@ -17,11 +17,13 @@ exact embedding of the symmetric basis into the cyclic-invariant basis.
 `build_pencil` stores each partition's distinct sparse integer A1 rows with
 their necklace counts, read off the basis labels.  Each block is triangular
 in dominance order, so `solve_pencil` solves it exactly, with no threshold.
-`apply_H1` applies the operator to one polynomial, behind the exact eigen,
-parity and boost checks: it clears denominators once, packs each exponent
-vector into one int, reads each drift pair's quotient by z_a - z_b off
-suffix sums of that pair's numerator coefficients in one pass, and builds
-each output Fraction once.  The generic Laurent ring operations and
+`_apply_ints` applies the operator to one polynomial in integers: it clears
+denominators once, packs each exponent vector into one int, and reads each
+drift pair's quotient by z_a - z_b off suffix sums of that pair's numerator
+coefficients in one pass.  The exact eigen, parity and boost checks compare
+that image with p on the packed integers, by cross-multiplication, and
+build no Fraction but lambda.  `apply_H1` is the Fraction view of the same
+image, as a LaurentPoly; the generic Laurent ring operations and
 `polyalg.exact_divide` are its reference in the tests.
 """
 
@@ -30,7 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm, pi
+from operator import mul
 
 from .model import ModelParams, ParameterDomainError, closed_form_levels, interaction_pairs
 from .polyalg import (
@@ -58,14 +62,8 @@ class H1Operator:
 
 
 def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
-    """Apply the transformed operator exactly, at a given beta.
-
-    p is scaled once to integer coefficients, and each exponent vector is
-    packed into one int: digit j is e_j - lo in base 2 (span + 1), lo and
-    span the least exponent of p and the range of its exponents.  The
-    diagonal sum_j D_j^2 and each drift pair's quotient (see `_drift`) are
-    summed in integers on these codes; each distinct code is unpacked, and
-    its coefficient becomes a Fraction, once, at the end.
+    """Apply the transformed operator exactly, at a given beta: the Fraction
+    view of `_apply_ints`, which computes the image in integers.
 
     For beta != 0, divisibility by (z_a - z_b) is checked, not assumed
     (DivisionError otherwise).  It holds exactly when, in every group of
@@ -73,11 +71,30 @@ def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
     sum_k (2k - s) c_k = 0; a<->b exchange symmetry is sufficient, not
     necessary.
     """
+    codes, _, image, scale, unpack = _apply_ints(op, p, beta)
+    unpacked = dict(zip(codes, p.terms))
+    return LaurentPoly(
+        p.nvars,
+        {unpacked.get(code) or unpack(code): Fraction(v, scale) for code, v in image.items()},
+    )
+
+
+def _apply_ints(op: H1Operator, p: LaurentPoly, beta):
+    """The operator on p in integers: (codes, ints, image, scale, unpack).
+
+    p is scaled once to integer coefficients `ints`, and each exponent vector
+    is packed into one int, `codes` in p's term order: digit j is e_j - lo in
+    base 2 (span + 1), lo and span the least exponent of p and the range of
+    its exponents.  The diagonal sum_j D_j^2 and each drift pair's quotient
+    (see `_drift`) are summed in integers on these codes.  `image` maps each
+    code to its nonzero coefficient times `scale`, where p = ints / den and
+    scale = den * beta.denominator; `unpack` turns a code back into exponents.
+    """
     n = op.params.n
     if p.nvars != n:
         raise ValueError("variable count mismatch")
     if not p:
-        return LaurentPoly.zero(n)
+        return [], [], {}, 1, None
     beta = Fraction(beta)
     den = lcm(*(c.denominator for c in p.terms.values()))
     exps = list(p.terms)
@@ -87,20 +104,15 @@ def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
     # groups share a key
     base = 2 * (max(map(max, exps)) - lo + 1)
     place = [base**j for j in range(n)]
-    codes = [sum((x - lo) * w for x, w in zip(e, place)) for e in exps]
-    diag = {code: c * sum(x * x for x in e) for code, e, c in zip(codes, exps, ints)}
-    drift = _drift(op.drift_pairs, exps, codes, ints, place) if beta else {}
-    unpacked = dict(zip(codes, exps))
-    scale = den * beta.denominator
-    out = {}
-    for code in diag | drift:
-        value = diag.get(code, 0) * beta.denominator + beta.numerator * drift.get(code, 0)
-        if value:
-            e = unpacked.get(code)
-            if e is None:
-                e = _unpack(code, n, base, lo)
-            out[e] = Fraction(value, scale)
-    return LaurentPoly(n, out)
+    offset = lo * sum(place)
+    codes = [sum(map(mul, e, place)) - offset for e in exps]
+    q = beta.denominator
+    image = {code: q * c * sum(map(mul, e, e)) for code, e, c in zip(codes, exps, ints)}
+    if beta:
+        for code, v in _drift(op.drift_pairs, exps, codes, ints, place).items():
+            image[code] = image.get(code, 0) + beta.numerator * v
+    image = {code: v for code, v in image.items() if v}
+    return codes, ints, image, den * q, partial(_unpack, n=n, base=base, lo=lo)
 
 
 def _unpack(code: int, n: int, base: int, lo: int) -> tuple[int, ...]:
@@ -149,15 +161,26 @@ def _drift(pairs, exps, codes, ints, place) -> dict[int, int]:
 
 
 def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
-    """Return lambda with apply_H1(p) == lambda * p exactly, else raise."""
+    """Return lambda with apply_H1(p) == lambda * p exactly, else raise.
+
+    The check runs on `_apply_ints`'s packed integers, never on Fractions:
+    with v0 and i0 the image and p coefficients at p's first code,
+    image[c] * i0 == v0 * ints[c] must hold at every code c of p, and the
+    image may have no code outside p's support.  lambda = 0 (v0 = 0) is
+    certified exactly when the image is empty.
+    """
     if not p:
         raise ValueError("zero polynomial")
-    image = apply_H1(op, p, beta=beta)
-    exps, coeff = next(iter(p.terms.items()))
-    lam = image.coeff(exps) / coeff
-    if image != p.scale(lam):
+    codes, ints, image, scale, _ = _apply_ints(op, p, beta)
+    i0, v0 = ints[0], image.get(codes[0], 0)
+    # once every ratio holds, v0 != 0 puts all of p's codes in the image, and
+    # v0 == 0 leaves none of them there: the sizes then show any code outside
+    if len(image) != (len(codes) if v0 else 0) or any(
+        image.get(c, 0) * i0 != v0 * x for c, x in zip(codes, ints)
+    ):
         raise PencilError("polynomial is not an exact eigenvector")
-    return lam
+    coeff = next(iter(p.terms.values()))
+    return Fraction(v0 * coeff.denominator, scale * coeff.numerator)
 
 
 @dataclass(frozen=True)

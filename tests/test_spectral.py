@@ -82,10 +82,86 @@ def test_nondeg_laurent_level():
         assert exact_eigencheck(op, nd, ONE) == 2 + 4 * r
 
 
+def _reference_eigencheck(op, p, beta):
+    """lambda through the Fraction image, or None when p is not an eigenvector."""
+    image = apply_H1(op, p, beta)
+    exps, coeff = next(iter(p.terms.items()))
+    lam = image.coeff(exps) / coeff
+    return lam if image == p.scale(lam) else None
+
+
+def _named_states(params, beta):
+    """The closed-form states at a Fraction beta, keyed as `closed_form_levels`."""
+    n = params.n
+    e1, enm1, en = states(n)
+    mix = Fraction(n) / (1 + params.drift_weight * beta)
+    return {
+        "e1": e1,
+        "enm1": enm1,
+        "en": en,
+        "combo": e1 * enm1 - en.scale(mix),
+        "nondeg_zero": e1 * power_sum(-1, n) - LaurentPoly.constant(n, mix),
+    }
+
+
+@pytest.mark.parametrize("n, r", [(6, 2), (7, 2), (6, 4)])  # (6, 4): full regime
+@pytest.mark.parametrize("beta", [ONE, Fraction(7, 3), Fraction(2, 5)])
+def test_eigencheck_matches_fraction_reference(n, r, beta):
+    """The packed-integer check gives the Fraction reference's lambda on every
+    named state, its boosts, non-integer multiples and lambda = 0 (a constant,
+    and e_N boosted by q = -1)."""
+    op = operator(n, r)
+    levels = closed_form_levels(op.params, beta)
+    cases = [(LaurentPoly.constant(n, Fraction(-5, 3)), 0), (states(n)[2].shift_all(-1), 0)]
+    for name, p in _named_states(op.params, beta).items():
+        d = p.degree()
+        for q in (0, -1, 1, 2):
+            level = levels[name] + 2 * q * d + n * q * q
+            cases += [(p.shift_all(q), level), (p.shift_all(q).scale(Fraction(-9, 14)), level)]
+    for p, level in cases:
+        lam = exact_eigencheck(op, p, beta)
+        assert type(lam) is Fraction
+        assert lam == _reference_eigencheck(op, p, beta) == level
+        assert apply_H1(op, p, beta) == p.scale(lam)
+
+
 def test_eigencheck_rejects_non_eigenvector():
-    op = operator(6, 2)
+    n, r = 6, 2
+    op = operator(n, r)
+    named = _named_states(op.params, ONE)
+    e1, en, combo = named["e1"], named["en"], named["combo"]
+    not_eigen = [
+        elementary_symmetric(2, n),
+        e1 + LaurentPoly.constant(n, 1),  # a stray monomial the image lacks
+        e1 + en * en,  # a stray monomial of another level
+        combo + en.scale(Fraction(1, 7)),  # the coefficient of z_1 ... z_N perturbed
+        # p_2's image is a multiple of p_2 on p_2's own terms, plus
+        # 4 z_a z_b for each drift pair: codes outside p's support
+        power_sum(2, n),
+        # lambda = 0 at p's first term, but the image is not empty
+        LaurentPoly.constant(n, 1) + e1,
+    ]
+    for p in not_eigen:
+        assert _reference_eigencheck(op, p, ONE) is None
+        with pytest.raises(PencilError):
+            exact_eigencheck(op, p, ONE)
+    # at beta = -1, z_1/z_2 + z_2/z_1 maps to the constant -4: lambda = 0 on
+    # each of p's terms, and the whole image lies outside p's support
+    p = LaurentPoly(3, {(1, -1, 0): ONE, (-1, 1, 0): ONE})
+    assert apply_H1(PAIR01, p, -1) == LaurentPoly.constant(3, -4)
     with pytest.raises(PencilError):
-        exact_eigencheck(op, elementary_symmetric(2, 6), ONE)
+        exact_eigencheck(PAIR01, p, -1)
+    # (z_1 + ... + z_N) z_1 is not divisible by z_1 - z_2
+    with pytest.raises(DivisionError):
+        exact_eigencheck(op, e1 * LaurentPoly.variable(n, 0), ONE)
+    with pytest.raises(ValueError, match="variable count"):
+        exact_eigencheck(op, elementary_symmetric(1, n + 1), ONE)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        exact_eigencheck(op, LaurentPoly.zero(n), ONE)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        exact_eigencheck(op, LaurentPoly.zero(n + 1), ONE)
+    with pytest.raises(ValueError, match="variable count"):
+        apply_H1(op, LaurentPoly.zero(n + 1), ONE)
 
 
 def test_jk_limit_levels():
@@ -228,6 +304,28 @@ def test_apply_H1_matches_generic_algebra(case):
     assert got == want
     assert all(type(c) is Fraction for c in got.terms.values())
     assert got.canonical() == want.canonical() and hash(got) == hash(want)
+
+
+@given(operator_inputs())
+@example((operator(6, 2), elementary_symmetric(1, 6).scale(Fraction(3, 4)), Fraction(7, 3)))
+@example((operator(6, 2), LaurentPoly.constant(6, Fraction(2, 9)), Fraction(-1, 7)))
+@settings(max_examples=100, deadline=None)
+def test_eigencheck_agrees_with_fraction_reference(case):
+    """On arbitrary p, the check certifies exactly what the reference does."""
+    op, p, beta = case
+    if not p:
+        return
+    try:
+        want = _reference_eigencheck(op, p, beta)
+    except DivisionError:
+        with pytest.raises(DivisionError):
+            exact_eigencheck(op, p, beta)
+        return
+    if want is None:
+        with pytest.raises(PencilError):
+            exact_eigencheck(op, p, beta)
+    else:
+        assert exact_eigencheck(op, p, beta) == want
 
 
 def _generic_block(op, degree):
