@@ -236,7 +236,8 @@ def power_sum(k: int, nvars: int) -> LaurentPoly:
 # -- partitions, necklaces, orbit bases -------------------------------------
 
 def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of d into at most max_parts parts, weakly decreasing tuples."""
+    """Partitions of d into at most max_parts parts, weakly decreasing tuples,
+    in reverse lex order (largest first part first)."""
     if max_part is None:
         max_part = d
     if d == 0:
@@ -372,7 +373,7 @@ def basis(kind: str, nvars: int, degree: int) -> BasisSet:
         raise ValueError("degree must be >= 0")
     if kind not in (SYMMETRIC, CYCLIC):
         raise ValueError(f"unknown basis kind {kind!r}")
-    labels = sorted(partitions(degree, nvars), reverse=True)
+    labels = list(partitions(degree, nvars))
     if kind == CYCLIC:
         labels = [rho for lam in labels for rho in necklaces(lam, nvars)]
     return BasisSet(kind=kind, nvars=nvars, degree=degree, labels=tuple(labels))

@@ -399,23 +399,17 @@ def parity_partner(op: H1Operator, p: LaurentPoly, beta) -> ParityResult:
     itself (non-degenerate at momentum 0)."""
     lam = exact_eigencheck(op, p, beta)
     mirrored = p.invert_vars()
-    lam_mirror = exact_eigencheck(op, mirrored, beta)
+    # the mirror is an involution, so a multiple c p of p it gives has c^2 = 1,
+    # and +-p is certified by p's own check
+    self_paired = mirrored == p or mirrored == -p
+    lam_mirror = lam if self_paired else exact_eigencheck(op, mirrored, beta)
     if lam_mirror != lam:
         raise PencilError("parity image changed the eigenvalue")
     q = max(0, -mirrored.min_exponent())
     partner = mirrored.shift_all(q)
-    self_paired = _proportional(mirrored, p)
     return ParityResult(
         partner=partner, lam=lam, lam_partner=lam_mirror, boost_q=q, self_paired=self_paired
     )
-
-
-def _proportional(p: LaurentPoly, q: LaurentPoly) -> bool:
-    if set(p.terms) != set(q.terms):
-        return False
-    exps = next(iter(p.terms))
-    ratio = p.terms[exps] / q.terms[exps]
-    return p == q.scale(ratio)
 
 
 @dataclass(frozen=True)

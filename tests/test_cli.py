@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from tcsm import cli
 from tcsm.cli import main
 
 
@@ -49,6 +50,10 @@ def test_params_full_regime():
     assert data["k"] is None
     assert data["triple_count_formula"] == 0
     assert data["triple_count_enumerated"] == 0
+    assert data["pair_count"] == 21
+    # even N: each antipodal pair counted once
+    _, out = run_cli("params", "--n", "8", "--r", "4")
+    assert json.loads(out)["pair_count"] == 28
 
 
 def test_params_conflict_row_flagged():
@@ -241,26 +246,36 @@ def test_spectrum_command():
 
 
 def test_count_triples():
-    code, out = run_cli("count-triples", "--n", "12", "--r", "2", "--enumerate")
+    code, out = run_cli("params", "--n", "12", "--r", "2")
     data = json.loads(out)
     assert code == 0
-    assert data["formula"] == data["enumerated"] == 36
+    assert data["triple_count_formula"] == data["triple_count_enumerated"] == 36
+    assert {"name": "triple_count", "verdict": "Pass"} in data["verdicts"]
 
 
-# the count depends on N and r only, so count-triples takes no --beta or --length
-@pytest.mark.parametrize("flag, value", [("--beta", "1"), ("--length", "2")])
-def test_count_triples_has_no_physical_flags(flag, value):
-    message = assert_usage_error("count-triples", "--n", "12", "--r", "2", "--enumerate",
-                                 flag, value)
-    assert f"unrecognized arguments: {flag}" in message
+def test_count_triples_command_is_gone():
+    message = assert_usage_error("count-triples", "--n", "12", "--r", "2")
+    assert "count-triples" in message
+
+
+def test_params_triple_count_mismatch_fails(monkeypatch):
+    monkeypatch.setattr(cli, "triple_count_formula", lambda params: -1)
+    code, out = run_cli("params", "--n", "12", "--r", "2")
+    assert code == 1
+    assert {"name": "triple_count", "verdict": "Fail"} in json.loads(out)["verdicts"]
+
+
+def test_params_counts_at_large_n():
+    # read off the distance rules: neither list is built
+    code, out = run_cli("params", "--n", "100000", "--r", "50")
+    data = json.loads(out)
+    assert code == 0
+    assert data["pair_count"] == 5_000_000
+    assert data["triple_count_formula"] == data["triple_count_enumerated"] == 127_500_000
 
 
 def test_calls_share_no_parsed_state():
     # main reuses one parser, so a flag given once must not carry over
-    _, with_flag = run_cli("count-triples", "--n", "12", "--r", "2", "--enumerate")
-    _, without = run_cli("count-triples", "--n", "12", "--r", "2")
-    assert "enumerated" in json.loads(with_flag)
-    assert "enumerated" not in json.loads(without)
     _, boosted = run_cli("verify-excited", "--n", "6", "--r", "2", "--state", "e1", "--q", "1",
                          "--samples", "50")
     _, plain = run_cli("verify-excited", "--n", "6", "--r", "2", "--state", "e1", "--samples", "50")

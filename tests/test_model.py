@@ -15,6 +15,7 @@ from tcsm.model import (
     interaction_pairs,
     three_body_triples,
     triple_count_formula,
+    triple_offsets,
 )
 
 
@@ -115,6 +116,15 @@ def test_triples_match_combinations_enumeration():
         for r in range(1, n // 2 + 2):
             p = derive_params(n, r)
             assert three_body_triples(p) == combinations_triples(p), (n, r)
+
+
+def test_counts_from_their_rules():
+    # the rules `params` counts from, without building either list
+    for n in range(3, 41):
+        for r in range(1, n + 2):
+            p = derive_params(n, r)
+            assert n * p.drift_weight // 2 == len(interaction_pairs(p)), (n, r)
+            assert n * len(triple_offsets(p)) == len(three_body_triples(p)), (n, r)
 
 
 def test_triple_formula_examples():

@@ -189,6 +189,14 @@ def test_newton_identities(n):
 
 # -- bases and projection --------------------------------------------------
 
+def test_partitions_come_in_reverse_lex_order():
+    # `basis` takes this order as its symmetric labels without sorting
+    for d in range(16):
+        for n in range(1, 16):
+            parts = list(partitions(d, n))
+            assert parts == sorted(set(parts), reverse=True), (d, n)
+
+
 def test_symmetric_basis_dims():
     assert len(basis(SYMMETRIC, 3, 2)) == 2  # partitions 2, 1+1
     assert len(basis(SYMMETRIC, 6, 6)) == 11

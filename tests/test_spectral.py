@@ -596,6 +596,17 @@ def test_parity_partner_nondeg_self_paired():
     assert res.lam == 10
 
 
+def test_parity_partner_odd_state_self_paired():
+    # p_1 - p_{-1} mirrors to its negative, so it is its own partner up to sign
+    op = operator(6, 2)
+    odd = power_sum(1, 6) - power_sum(-1, 6)
+    assert odd.invert_vars() == -odd
+    res = parity_partner(op, odd, ONE)
+    assert res.self_paired
+    assert res.lam == res.lam_partner == 1 + 2 * 2
+    assert res.boost_q == 1
+
+
 def test_parity_partner_ground():
     op = operator(6, 2)
     res = parity_partner(op, LaurentPoly.constant(6, 1), ONE)
