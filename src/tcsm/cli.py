@@ -83,12 +83,10 @@ def _common(parser, spectrum=False):
         parser.add_argument("--degree", type=int, required=True)
 
 
-def _sampling(parser, tol=True):
+def _sampling(parser):
+    # the oracle's tolerance and separation floor are its own, not the caller's
     parser.add_argument("--samples", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--min-sep-frac", type=float, default=1e-3)
-    if tol:
-        parser.add_argument("--tol", type=float, default=1e-8)
 
 
 def _output(parser):
@@ -113,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _output(p)
 
     p = sub.add_parser("table1", help="reproduce the published ground-energy table")
-    _sampling(p, tol=False)  # the conflict row's oracle check runs at a fixed tol
+    _sampling(p)
     _output(p)
 
     p = sub.add_parser("verify-ground", help="ground-state local-energy oracle")
@@ -146,8 +144,8 @@ def cmd_params(args) -> dict:
     params = derive_params(args.n, args.r, args.length, args.beta)
     # counted from the rules that build the lists, without building them:
     # each site is in drift_weight pairs (N * drift_weight counts each pair
-    # twice), and each center has one triple per end offset
-    enumerated = params.n * len(triple_offsets(params))
+    # twice), and each center has one triple per end offset pair (s, t)
+    enumerated = params.n * sum(hi - lo + 1 for _, lo, hi in triple_offsets(params))
     formula = triple_count_formula(params)
     conflict = (args.n, args.r) in TABLE1_ROWS and TABLE1_ROWS[(args.n, args.r)] != int(
         ground_energy_coeff(params)
@@ -179,7 +177,7 @@ def cmd_params(args) -> dict:
 
 
 def cmd_table1(args) -> dict:
-    rows = run_table1_rows(args.samples, args.seed, args.min_sep_frac)
+    rows = run_table1_rows(args.samples, args.seed)
     verdicts = [
         {"name": f"table1_{row['N']}_{row['r']}", "verdict": row["verdict"]} for row in rows
     ]
@@ -194,8 +192,6 @@ def _verify(args, spec: StateSpec) -> dict:
         count=args.samples,
         seed=args.seed,
         predicted=predicted_physical(spec, params),
-        tol=args.tol,
-        min_sep_frac=args.min_sep_frac,
     )
     d = report.to_dict()
     d["verdicts"] = [{"name": spec.label(), "verdict": report.verdict}]

@@ -125,20 +125,21 @@ def interaction_pairs(params: ModelParams) -> list[tuple[int, int]]:
     return sorted(seen)
 
 
-def triple_offsets(params: ModelParams) -> list[tuple[int, int]]:
-    """End offsets (s, t) of the three-body terms: center j, ends j - s and j + t.
+def triple_offsets(params: ModelParams) -> list[tuple[int, int, int]]:
+    """End offsets of the three-body terms as one range per s: (s, lo, hi)
+    for center j, ends j - s and j + t with lo <= t <= hi.
 
     1 <= s, t <= r_eff puts both ends within range of the center; the ends
     are out of range of each other when both s + t and N - s - t exceed
-    r_eff.  Sorted by (s, t).  Empty in the full regime.
+    r_eff, so t runs from max(1, r_eff + 1 - s) to min(r_eff, N - r_eff - 1 - s).
+    O(r) entries, sorted by s, empty ranges left out.  Empty in the full regime.
     """
     r_eff = params.r_eff
-    return [
-        (s, t)
+    ranges = (
+        (s, max(1, r_eff + 1 - s), min(r_eff, params.n - r_eff - 1 - s))
         for s in range(1, r_eff + 1)
-        for t in range(1, r_eff + 1)
-        if s + t > r_eff and params.n - s - t > r_eff
-    ]
+    )
+    return [(s, lo, hi) for s, lo, hi in ranges if lo <= hi]
 
 
 def three_body_triples(params: ModelParams) -> list[tuple[int, int, int]]:
@@ -150,7 +151,7 @@ def three_body_triples(params: ModelParams) -> list[tuple[int, int, int]]:
     within and beyond range.  Sorted by (j, i, k).  Empty in the full regime.
     """
     n = params.n
-    offsets = triple_offsets(params)
+    offsets = [(s, t) for s, lo, hi in triple_offsets(params) for t in range(lo, hi + 1)]
     triples = []
     for j in range(n):
         ends = sorted(tuple(sorted(((j - s) % n, (j + t) % n))) for s, t in offsets)

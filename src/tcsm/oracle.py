@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -64,7 +63,7 @@ def _three_body_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
 
     The term with center j and ends j - s, j + t is cot_s at site j - s
     times cot_t at site j, and is held at site j - s.  For each s the
-    allowed t of `triple_offsets` form one range lo..hi, so row s meets the
+    allowed t form one range lo..hi (`triple_offsets`), so row s meets the
     sum of the rows t in that range, shifted back by s, once.  The range
     starts one row lower at each s; while its top stays put, the sum grows
     by that one row.  Zero in the full regime.
@@ -72,9 +71,7 @@ def _three_body_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
     n = params.n
     total = np.zeros(cot.shape[1:])
     ends, top = None, None
-    for s, group in groupby(triple_offsets(params), key=lambda st: st[0]):
-        ts = [t for _, t in group]
-        lo, hi = ts[0], ts[-1]
+    for s, lo, hi in triple_offsets(params):
         ends = ends + cot[lo - 1] if hi == top else cot[lo - 1 : hi].sum(axis=0)
         top = hi
         c = cot[s - 1]
@@ -145,15 +142,17 @@ def sample_positions(
     params: ModelParams,
     count: int,
     seed: int,
-    min_sep_frac: float = 1e-3,
+    min_sep_frac: float | None = None,
 ) -> np.ndarray:
     """Uniform positions on {x in [0, L)^N : min cyclic separation >= floor}.
 
-    floor = min_sep_frac * L.  Drawn exactly, with no rejection: the cyclic
-    spacings are floor + (L - N floor) * Dirichlet(1, ..., 1), the first
-    point sits at a uniform rotation and a uniform permutation labels the
-    points.  Every row is still checked against the floor; a row that fails
-    only by rounding is drawn again.  Deterministic given the seed.  Shape
+    floor = min_sep_frac * L, by default min(1e-3, 1/(2N)) * L: 1e-3 L up to
+    N = 500, and above that half the circle stays above the floor, so any N
+    can be sampled.  Drawn exactly, with no rejection: the cyclic spacings
+    are floor + (L - N floor) * Dirichlet(1, ..., 1), the first point sits
+    at a uniform rotation and a uniform permutation labels the points.
+    Every row is still checked against the floor; a row that fails only by
+    rounding is drawn again.  Deterministic given the seed.  Shape
     (count, N), returned as the transposed view of a sites-first (N, count)
     array, so `local_energy_batch` takes it without a copy.
 
@@ -173,6 +172,8 @@ def sample_positions(
     if seed < 0:
         raise ParameterDomainError(f"need seed >= 0, got {seed!r}")
     n, length = params.n, params.length
+    if min_sep_frac is None:
+        min_sep_frac = min(1e-3, 0.5 / n)
     if not 0.0 < min_sep_frac < 1.0 / n:
         raise SamplingError(
             f"min_sep_frac {min_sep_frac} infeasible for N={n} (need 0 < f < 1/N)"
@@ -301,12 +302,14 @@ def verify_eigenstate(
     seed: int = 1,
     predicted: float | None = None,
     tol: float = 1e-8,
-    min_sep_frac: float = 1e-3,
 ) -> ResidualReport:
     """Sample configurations, evaluate (H psi)/psi, and compare to a prediction.
 
-    Node-hit configurations are dropped and replaced (fresh sub-seed) so the
-    report always aggregates `count` valid samples.
+    Positions come from `sample_positions` at its default floor; the state
+    passes when the relative spread of the real local energy and the mean's
+    relative distance from `predicted` are below `tol`.  Node-hit
+    configurations are dropped and replaced (fresh sub-seed) so the report
+    always aggregates `count` valid samples.
     """
     if count < 1:
         raise ParameterDomainError(f"need samples >= 1, got {count}")
@@ -319,7 +322,7 @@ def verify_eigenstate(
         if round_ > 64:
             raise SamplingError("too many node rejections")
         need = count - len(energies)
-        x = sample_positions(params, need, seed + 7919 * round_, min_sep_frac)
+        x = sample_positions(params, need, seed + 7919 * round_)
         e, nodes = local_energy_batch(params, spec, x)
         node_rejections += int(nodes.sum())
         energies = np.concatenate([energies, e[~nodes]])
@@ -357,7 +360,7 @@ def verify_eigenstate(
     )
 
 
-def run_table1_rows(samples: int = 2000, seed: int = 1, min_sep_frac: float = 1e-3) -> list:
+def run_table1_rows(samples: int = 2000, seed: int = 1) -> list:
     """One row per entry of `model.TABLE1_ROWS`: the published ground energy
     against the closed form, with the oracle run on each conflicting row."""
     rows = []
@@ -381,7 +384,6 @@ def run_table1_rows(samples: int = 2000, seed: int = 1, min_sep_frac: float = 1e
                 seed=seed,
                 predicted=ground_energy_physical(params),
                 tol=1e-9,
-                min_sep_frac=min_sep_frac,
             )
             # measured E0 in units of pi^2/L^2: should land on `formula`
             row["oracle_energy_reduced"] = (

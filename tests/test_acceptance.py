@@ -57,7 +57,7 @@ def announce(name, ok):
 
 def test_criterion_1_table_reproduction():
     t0 = time.time()
-    rows = run_table1_rows(samples=2000, seed=1, min_sep_frac=1e-3)
+    rows = run_table1_rows(samples=2000, seed=1)
     by_key = {(row["N"], row["r"]): row for row in rows}
     ok = all(
         by_key[key]["verdict"] == "match" and by_key[key]["formula"] == val

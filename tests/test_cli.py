@@ -8,6 +8,9 @@ import pytest
 
 from tcsm import cli
 from tcsm.cli import main
+from tcsm.model import ParameterDomainError, derive_params
+from tcsm.oracle import verify_eigenstate
+from tcsm.wavefunction import GROUND, StateSpec
 
 
 def run_cli(*argv):
@@ -200,8 +203,11 @@ def test_zero_samples_rejected():
     assert "samples" in message
 
 
-def test_infeasible_min_sep_rejected():
-    assert_usage_error("verify-ground", "--n", "6", "--r", "2", "--min-sep-frac", "0.5")
+def test_verify_ground_at_n_1000():
+    # the separation floor is capped at 1/(2N), so the oracle runs at any N
+    code, out = run_cli("verify-ground", "--n", "1000", "--r", "4", "--samples", "100")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "Pass"
 
 
 def test_unallocatable_sample_count_rejected():
@@ -216,11 +222,13 @@ def test_spectrum_degree_zero_rejected():
     assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "0")
 
 
+# the command line leaves the tolerance to the oracle, whose API still
+# rejects a bad one
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
 def test_bad_oracle_tol_rejected(tol):
-    message = assert_usage_error("verify-ground", "--n", "6", "--r", "2", "--samples", "50",
-                                 "--tol", tol)
-    assert "tol" in message
+    p = derive_params(6, 2)
+    with pytest.raises(ParameterDomainError, match="tol"):
+        verify_eigenstate(p, StateSpec(GROUND), count=50, tol=float(tol))
 
 
 # the spectrum is exact, so no tolerance decides it: spectrum has no --tol
@@ -232,9 +240,14 @@ def test_bad_spectrum_tol_rejected(tol):
     assert "unrecognized arguments: --tol" in message
 
 
-def test_table1_has_no_tol_flag():
-    message = assert_usage_error("table1", "--tol", "1e-8")
-    assert "--tol" in message
+def test_oracle_policy_flags_rejected():
+    # the oracle's tolerance and separation floor are fixed by the code
+    for command in (["verify-ground", "--n", "6", "--r", "2"],
+                    ["verify-excited", "--n", "6", "--r", "2", "--state", "e1"],
+                    ["table1"]):
+        for flag, value in (("--tol", "1e-8"), ("--min-sep-frac", "1e-3")):
+            message = assert_usage_error(*command, "--samples", "50", flag, value)
+            assert f"unrecognized arguments: {flag} {value}" in message, (command, flag)
 
 
 def test_spectrum_command():
@@ -272,6 +285,12 @@ def test_params_counts_at_large_n():
     assert code == 0
     assert data["pair_count"] == 5_000_000
     assert data["triple_count_formula"] == data["triple_count_enumerated"] == 127_500_000
+    # one range of end offsets per s, so r in the thousands costs O(r)
+    code, out = run_cli("params", "--n", "100000", "--r", "3000")
+    data = json.loads(out)
+    assert code == 0
+    assert data["pair_count"] == 300_000_000
+    assert data["triple_count_formula"] == data["triple_count_enumerated"] == 450_150_000_000
 
 
 def test_calls_share_no_parsed_state():

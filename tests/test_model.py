@@ -124,7 +124,30 @@ def test_counts_from_their_rules():
         for r in range(1, n + 2):
             p = derive_params(n, r)
             assert n * p.drift_weight // 2 == len(interaction_pairs(p)), (n, r)
-            assert n * len(triple_offsets(p)) == len(three_body_triples(p)), (n, r)
+            counted = n * sum(hi - lo + 1 for _, lo, hi in triple_offsets(p))
+            assert counted == len(three_body_triples(p)), (n, r)
+
+
+def test_triple_offset_ranges_follow_their_rule():
+    # each range holds exactly the t with both ends in range of the center
+    # and out of range of each other
+    for n in range(3, 41):
+        for r in range(1, n + 2):
+            p = derive_params(n, r)
+            r_eff = p.r_eff
+            want = [(s, t) for s in range(1, r_eff + 1) for t in range(1, r_eff + 1)
+                    if s + t > r_eff and n - s - t > r_eff]
+            got = [(s, t) for s, lo, hi in triple_offsets(p) for t in range(lo, hi + 1)]
+            assert got == want, (n, r)
+            assert all(lo <= hi for _, lo, hi in triple_offsets(p)), (n, r)
+
+
+def test_triple_offsets_take_one_range_per_s():
+    p = derive_params(100_000, 3000)
+    offsets = triple_offsets(p)
+    assert [s for s, _, _ in offsets] == list(range(1, 3001))
+    counted = p.n * sum(hi - lo + 1 for _, lo, hi in offsets)
+    assert counted == triple_count_formula(p) == 450_150_000_000
 
 
 def test_triple_formula_examples():

@@ -11,7 +11,6 @@ from tcsm.model import (
     cyclic_distance,
     derive_params,
     ground_energy_physical,
-    triple_offsets,
 )
 from tcsm import oracle
 from tcsm.oracle import (
@@ -91,6 +90,13 @@ def sites_last_cot(params, x):
     return 1.0 / np.tan(math.pi * np.array(turns))
 
 
+def offset_pairs(params):
+    """The three-body end offsets (s, t) straight from their rule, one pair at a time."""
+    r_eff = params.r_eff
+    return [(s, t) for s in range(1, r_eff + 1) for t in range(1, r_eff + 1)
+            if s + t > r_eff and params.n - s - t > r_eff]
+
+
 def composed_local_energy(params, spec, x):
     """(energy, node mask, sum of term magnitudes) from the public sites-last
     evaluators and a potential summed one (s, t) offset pair at a time, kept
@@ -99,7 +105,7 @@ def composed_local_energy(params, spec, x):
     cot = sites_last_cot(params, x)
     weights = np.where(2 * np.arange(1, params.r_eff + 1) == params.n, 0.5, 1.0)
     csc2 = np.tensordot(weights, (1.0 + cot * cot).sum(axis=-1), axes=1)
-    three = [np.roll(cot[s - 1], s, axis=-1) * cot[t - 1] for s, t in triple_offsets(params)]
+    three = [np.roll(cot[s - 1], s, axis=-1) * cot[t - 1] for s, t in offset_pairs(params)]
     three_sum = sum((v.sum(axis=-1) for v in three), np.zeros(x.shape[:-1]))
     three_mag = sum((np.abs(v).sum(axis=-1) for v in three), np.zeros(x.shape[:-1]))
     potential = params.g * unit * csc2 - params.big_g * unit * three_sum
@@ -165,7 +171,7 @@ def test_three_body_grouping_matches_offset_loop():
             cot = rng.integers(-8, 9, size=(p.r_eff, n, 3)).astype(float)
             # each term held at its end j - s, as the grouped sum holds it
             want = np.zeros((n, 3))
-            for s, t in triple_offsets(p):
+            for s, t in offset_pairs(p):
                 want += cot[s - 1] * np.roll(cot[t - 1], -s, axis=0)
             np.testing.assert_array_equal(_three_body_by_site(p, cot), want)
 
@@ -412,6 +418,39 @@ def test_sampler_returns_a_sites_first_buffer(frac):
     x = sample_positions(p, 500, seed=2, min_sep_frac=frac)
     assert x.T.flags.c_contiguous
     assert np.shares_memory(_sites_first(x), x)
+
+
+@pytest.mark.parametrize("n,frac", [(6, 1e-3), (500, 1e-3), (501, 1 / 1002), (1000, 1 / 2000)])
+def test_default_floor(n, frac):
+    # 1e-3 up to N = 500; above that, 1/(2N) keeps half the circle for the
+    # spacings above the floor, so every N can be sampled
+    p = derive_params(n, 2)
+    x = sample_positions(p, 50, seed=3)
+    np.testing.assert_array_equal(x, sample_positions(p, 50, seed=3, min_sep_frac=frac))
+    assert (min_cyclic_separation(x, p.length) >= frac * p.length).all()
+
+
+def test_local_energy_holds_on_redrawn_rows(monkeypatch):
+    # at (1 - 1e-12)/N the slack above the floor is ~1e-12 L, so some rows
+    # round below the floor and are drawn again; the combo local energy of
+    # the rows returned must still be its closed-form level
+    p = derive_params(64, 8)
+    rounds = []
+
+    def spy(xs, length):
+        rounds.append(xs.shape[1])
+        return _presorted_min_separation(xs, length)
+
+    monkeypatch.setattr(oracle, "_presorted_min_separation", spy)
+    x = sample_positions(p, 2000, seed=1, min_sep_frac=(1 - 1e-12) / 64)
+    assert len(rounds) > 1 and rounds[0] == 2000
+    spec = StateSpec(COMBO)
+    e, nodes = local_energy_batch(p, spec, x)
+    re = e[~nodes].real
+    assert re.size > 0
+    assert re.std() / (abs(re.mean()) + 1.0) < 1e-8
+    predicted = predicted_physical(spec, p)
+    assert abs(re.mean() - predicted) / (abs(predicted) + 1.0) < 1e-8
 
 
 def test_sampling_acceptance_rate():
