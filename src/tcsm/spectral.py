@@ -17,14 +17,18 @@ exact embedding of the symmetric basis into the cyclic-invariant basis.
 `build_pencil` stores each partition's distinct sparse integer A1 rows with
 their necklace counts, read off the basis labels.  Each block is triangular
 in dominance order, so `solve_pencil` solves it exactly, with no threshold.
-`_apply_ints` applies the operator to one polynomial in integers: it clears
-denominators once, packs each exponent vector into one int, and reads each
-drift pair's quotient by z_a - z_b off suffix sums of that pair's numerator
-coefficients in one pass.  The exact eigen, parity and boost checks compare
-that image with p on the packed integers, by cross-multiplication, and
-build no Fraction but lambda.  `apply_H1` is the Fraction view of the same
-image, as a LaurentPoly; the generic Laurent ring operations and
-`polyalg.exact_divide` are its reference in the tests.
+`_apply_ints` applies the operator to one polynomial in integers.  The
+operator commutes with every rotation z_j -> z_(j+g) that maps the pair set
+to itself, so on the group G of those that also fix p the image is
+G-invariant, and it is computed at one packed code per G-orbit: each drift
+pair's quotient by z_a - z_b is read off suffix sums in one pass over the
+terms, for one pair per G-orbit of pairs (r_eff pairs on a rotation-invariant
+state, not N r_eff).  The trivial group, g = N, is the per-pair computation.
+The exact eigen, parity and boost checks compare that image with p on the
+representatives, by cross-multiplication, and build no Fraction but
+lambda.  `apply_H1` is the Fraction view of the same image, each
+representative spread over its orbit, as a LaurentPoly; the generic Laurent
+ring operations and `polyalg.exact_divide` are its reference in the tests.
 """
 
 from __future__ import annotations
@@ -32,9 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache
 from math import gcd, lcm, pi
-from operator import mul
+from operator import itemgetter, mul
 
 from .model import ModelParams, ParameterDomainError, closed_form_levels, interaction_pairs
 from .polyalg import (
@@ -63,7 +67,8 @@ class H1Operator:
 
 def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
     """Apply the transformed operator exactly, at a given beta: the Fraction
-    view of `_apply_ints`, which computes the image in integers.
+    view of `_apply_ints`, which computes the image in integers on orbit
+    representatives; each representative's value is spread over its orbit.
 
     For beta != 0, divisibility by (z_a - z_b) is checked, not assumed
     (DivisionError otherwise).  It holds exactly when, in every group of
@@ -71,24 +76,39 @@ def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
     sum_k (2k - s) c_k = 0; a<->b exchange symmetry is sufficient, not
     necessary.
     """
-    codes, _, image, scale, unpack = _apply_ints(op, p, beta)
-    unpacked = dict(zip(codes, p.terms))
+    _, _, image, scale, orbit = _apply_ints(op, p, beta)
     return LaurentPoly(
         p.nvars,
-        {unpacked.get(code) or unpack(code): Fraction(v, scale) for code, v in image.items()},
+        {e: Fraction(v, scale) for code, v in image.items() for e in orbit(code)},
     )
 
 
 def _apply_ints(op: H1Operator, p: LaurentPoly, beta):
-    """The operator on p in integers: (codes, ints, image, scale, unpack).
+    """The operator on p in integers, on orbit representatives:
+    (codes, ints, image, scale, orbit).
 
-    p is scaled once to integer coefficients `ints`, and each exponent vector
-    is packed into one int, `codes` in p's term order: digit j is e_j - lo in
-    base 2 (span + 1), lo and span the least exponent of p and the range of
-    its exponents.  The diagonal sum_j D_j^2 and each drift pair's quotient
-    (see `_drift`) are summed in integers on these codes.  `image` maps each
-    code to its nonzero coefficient times `scale`, where p = ints / den and
-    scale = den * beta.denominator; `unpack` turns a code back into exponents.
+    G = <R^g> is the group of rotations that fix both p and the drift pairs
+    (see `_rotations`).  H1 commutes with G, so p's image is G-invariant
+    too, and one code per G-orbit gives it.  p is scaled once to integer
+    coefficients over one denominator den, and each exponent vector is
+    packed into one int: digit j is e_j - lo in base 2 (span + 1), lo and
+    span the least exponent of p and the range of its exponents.  Only a
+    representative is packed; R^g moves each digit g places, in two integer
+    operations, and gives the rest of its orbit.  `codes` and `ints` are
+    p's representatives, the first term of each orbit in p's term order,
+    and their integer coefficients.  `image` maps the representative of
+    each orbit the image meets to its nonzero coefficient times `scale`,
+    where scale = den * beta.denominator; `orbit` turns a representative
+    into the exponent vectors of its orbit.
+
+    The diagonal sum_j D_j^2 is read at each representative.  For each
+    orbit O of G on the pairs, `_drift` gives the quotient of O's first pair
+    P on all of p, and O's drift at a code c is |O| S(c) / |orbit(c)|, S(c)
+    the sum of P's quotient over c's orbit: a rotation h carries P's
+    quotient at h^-1 c to hP's quotient at c, and the sum over G counts
+    each pair of O |G| / |O| times and each code of c's orbit
+    |G| / |orbit(c)| times, so the division is exact.  With g = N the group
+    is trivial: each orbit is one code and each pair its own orbit.
     """
     n = op.params.n
     if p.nvars != n:
@@ -96,23 +116,58 @@ def _apply_ints(op: H1Operator, p: LaurentPoly, beta):
     if not p:
         return [], [], {}, 1, None
     beta = Fraction(beta)
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    exps = list(p.terms)
-    ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
-    lo = min(map(min, exps))
+    g, orbits, pair_orbits = _rotations(n, op.drift_pairs, p.terms)
+    reps = [members[0] for members in orbits]
+    coeffs = [p.terms[e] for e in reps]
+    den = lcm(*(c.denominator for c in coeffs))
+    rep_ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    lo = min(map(min, reps))
     # base > 2 span, the range of s = e_a + e_b, so that no two of `_drift`'s
     # groups share a key
-    base = 2 * (max(map(max, exps)) - lo + 1)
+    base = 2 * (max(map(max, reps)) - lo + 1)
     place = [base**j for j in range(n)]
     offset = lo * sum(place)
-    codes = [sum(map(mul, e, place)) - offset for e in exps]
+    low, high = base ** (n - g), base**g
+    rep: dict[int, int] = {}  # code -> the representative of its orbit
+    size: dict[int, int] = {}  # representative -> its orbit's size
+
+    def enter(code):
+        """The codes of code's orbit, in the order R^g visits them."""
+        members, moved = [code], code % low * high + code // low
+        while moved != code:
+            members.append(moved)
+            moved = moved % low * high + moved // low
+        rep.update(dict.fromkeys(members, code))
+        size[code] = len(members)
+        return members
+
     q = beta.denominator
-    image = {code: q * c * sum(map(mul, e, e)) for code, e, c in zip(codes, exps, ints)}
+    image: dict[int, int] = {}
+    rep_codes, exps, codes, ints = [], [], [], []  # the last three term by term
+    for members, e, c in zip(orbits, reps, rep_ints):
+        code = sum(map(mul, e, place)) - offset
+        rep_codes.append(code)
+        image[code] = q * c * sum(map(mul, e, e))
+        exps += members
+        codes += enter(code)
+        ints += [c] * len(members)
     if beta:
-        for code, v in _drift(op.drift_pairs, exps, codes, ints, place).items():
-            image[code] = image.get(code, 0) + beta.numerator * v
+        for a, b, weight in pair_orbits:
+            sums: dict[int, int] = {}
+            for code, v in _drift(a, b, exps, codes, ints, place).items():
+                r = rep.get(code)
+                if r is None:
+                    r = code
+                    enter(code)
+                sums[r] = sums.get(r, 0) + v
+            for r, s in sums.items():
+                image[r] = image.get(r, 0) + beta.numerator * (weight * s // size[r])
     image = {code: v for code, v in image.items() if v}
-    return codes, ints, image, den * q, partial(_unpack, n=n, base=base, lo=lo)
+
+    def orbit(code):
+        return _orbit(_unpack(code, n, base, lo), g)
+
+    return rep_codes, rep_ints, image, den * q, orbit
 
 
 def _unpack(code: int, n: int, base: int, lo: int) -> tuple[int, ...]:
@@ -123,51 +178,113 @@ def _unpack(code: int, n: int, base: int, lo: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _drift(pairs, exps, codes, ints, place) -> dict[int, int]:
-    """sum over pairs of (z_a + z_b)(D_a - D_b)p / (z_a - z_b), by code.
+def _rotations(n: int, pairs, terms: dict):
+    """(g, orbits, pair_orbits) for the rotation group G = <R^g> of p.
 
-    For one pair, the terms of p sharing the other exponents and s = e_a + e_b
-    form a group sum_k c_k z_a^k z_b^(s-k).  With M_k = (2k - s) c_k and
+    g is the least divisor of N for which R^g, which moves exponent j to
+    j + g mod N, fixes both the drift pairs and p's terms (coefficients
+    compared as integer ratios); g = N always does.  `orbits` lists p's
+    terms orbit by orbit, each orbit's first term in p's term order and then
+    its images under R^g, R^2g, ... (see `_pair_orbits` for the pairs).
+    """
+    pairs = tuple(map(tuple, pairs))  # hashable, for `_pair_orbits`'s cache
+    for g in range(1, n + 1):
+        if n % g:
+            continue
+        pair_orbits = _pair_orbits(pairs, n, g)
+        if pair_orbits is None:
+            continue
+        orbits, left = [], dict(terms)
+        for e, c in terms.items():
+            if e not in left:
+                continue
+            members = _orbit(e, g)
+            ratio = c.as_integer_ratio()
+            if any(left.pop(f, 0).as_integer_ratio() != ratio for f in members):
+                break
+            orbits.append(members)
+        else:
+            return g, orbits, pair_orbits
+    raise AssertionError("R^N is the identity")
+
+
+def _orbit(e: tuple[int, ...], g: int) -> list[tuple[int, ...]]:
+    """e and its distinct images under R^g, R^2g, ..., in that order."""
+    members, f = [e], e[-g:] + e[:-g]
+    while f != e:
+        members.append(f)
+        f = f[-g:] + f[:-g]
+    return members
+
+
+@lru_cache(maxsize=64)
+def _pair_orbits(pairs: tuple[tuple[int, int], ...], n: int, g: int):
+    """(a, b, weight) for each orbit of R^g on the multiset of unordered
+    pairs, (a, b) its first pair and weight the number of pairs in it; None
+    when R^g does not fix the multiset."""
+
+    def moved(pair, k):
+        a, b = (pair[0] + k) % n, (pair[1] + k) % n
+        return (a, b) if a < b else (b, a)
+
+    count = Counter(moved(pair, 0) for pair in pairs)
+    if any(count[moved(pair, g)] != m for pair, m in count.items()):
+        return None
+    orbits = []
+    for pair in list(count):
+        if pair in count:
+            members = {moved(pair, k) for k in range(0, n, g)}
+            orbits.append((*pair, sum(count.pop(m) for m in members)))
+    return tuple(orbits)
+
+
+def _drift(a: int, b: int, exps, codes, ints, place) -> dict[int, int]:
+    """(z_a + z_b)(D_a - D_b)p / (z_a - z_b) for one pair (a, b), by code.
+
+    The terms of p sharing the other exponents and s = e_a + e_b form a
+    group sum_k c_k z_a^k z_b^(s-k).  With M_k = (2k - s) c_k and
     w = z_a/z_b the group's quotient is z_b^s (w + 1) M(w) / (w - 1): it
     exists exactly when sum_k M_k = 0, and its z_a^k z_b^(s-k) coefficient
     is M_k + 2 sum_{k' > k} M_k', a suffix sum, from the group's largest k
     down to its least.  code - e_a (B^a - B^b) depends only on s and the
     other exponents, so it names the group, and adding k (B^a - B^b) to it
     gives the code of z_a^k z_b^(s-k), whose two digits stay in range.
+    Only the pair's two exponent columns are read.
     """
-    cols = list(zip(*exps))
     drift: dict[int, int] = {}
-    for a, b in pairs:
-        step = place[a] - place[b]
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for ea, eb, code, c in zip(cols[a], cols[b], codes, ints):
-            if ea != eb:
-                groups.setdefault(code - ea * step, []).append((ea, (ea - eb) * c))
-        for origin, members in groups.items():
-            members.sort(reverse=True)
-            above = 0  # sum of M_k' over k' > k
-            top = members[0][0] + 1
-            for k, m in members:
-                for j in range(k + 1, top):  # no term of p: M_j = 0
-                    code = origin + j * step
-                    drift[code] = drift.get(code, 0) + 2 * above
-                code = origin + k * step
-                drift[code] = drift.get(code, 0) + m + 2 * above
-                above += m
-                top = k
-            if above:  # sum_k M_k
-                raise DivisionError(f"polynomial not divisible by (z_a - z_b) for pair ({a}, {b})")
+    step = place[a] - place[b]
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for ea, eb, code, c in zip(map(itemgetter(a), exps), map(itemgetter(b), exps), codes, ints):
+        if ea != eb:
+            groups.setdefault(code - ea * step, []).append((ea, (ea - eb) * c))
+    for origin, members in groups.items():
+        members.sort(reverse=True)
+        above = 0  # sum of M_k' over k' > k
+        top = members[0][0] + 1
+        for k, m in members:
+            for j in range(k + 1, top):  # no term of p: M_j = 0
+                code = origin + j * step
+                drift[code] = drift.get(code, 0) + 2 * above
+            code = origin + k * step
+            drift[code] = drift.get(code, 0) + m + 2 * above
+            above += m
+            top = k
+        if above:  # sum_k M_k
+            raise DivisionError(f"polynomial not divisible by (z_a - z_b) for pair ({a}, {b})")
     return drift
 
 
 def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
     """Return lambda with apply_H1(p) == lambda * p exactly, else raise.
 
-    The check runs on `_apply_ints`'s packed integers, never on Fractions:
-    with v0 and i0 the image and p coefficients at p's first code,
-    image[c] * i0 == v0 * ints[c] must hold at every code c of p, and the
-    image may have no code outside p's support.  lambda = 0 (v0 = 0) is
-    certified exactly when the image is empty.
+    The check runs on `_apply_ints`'s packed integers, never on Fractions,
+    and on one code per orbit of the rotations that fix p and the pairs:
+    p and its image are both invariant under them, so each ratio and each
+    code outside p's support shows at a representative.  With v0 and i0 the
+    image and p coefficients at p's first code, image[c] * i0 == v0 * ints[c]
+    must hold at every representative c of p, and the image may have no
+    representative outside p's.  lambda = 0 (v0 = 0) is certified exactly
+    when the image is empty.
     """
     if not p:
         raise ValueError("zero polynomial")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tcsm import spectral
 from tcsm.model import derive_params
 from tcsm.oracle import verify_eigenstate
 from tcsm.polyalg import (
@@ -277,9 +278,55 @@ def operator_inputs(draw):
 
 
 PAIR01 = H1Operator(params=derive_params(3, 1), drift_pairs=((0, 1),))
+# R^2 fixes these pairs and R does not: a proper rotation group from the pairs
+PAIRS_R2 = H1Operator(params=derive_params(6, 1), drift_pairs=((0, 1), (2, 3), (4, 5)))
+
+
+def _mono(*exps, coeff=ONE):
+    return LaurentPoly(len(exps), {exps: Fraction(coeff)})
+
+
+def _var_sum(n, *js):
+    return sum((LaurentPoly.variable(n, j) for j in js), LaurentPoly.zero(n))
+
+
+# each case must give the same outcome on the orbit representatives as on the
+# generic algebra; the group that fixes p and the pairs is <R^2> (set by p or
+# by the pairs), all rotations with antipodal pairs, or trivial
+ORBIT_CASES = [
+    # invariant under R^2 but not R; not divisible
+    (operator(6, 2), _mono(1, 0, 1, 0, 1, 0) + _mono(0, 1, 0, 1, 0, 1, coeff=2), ONE),
+    # (z0 + z1)(z2 + z3)(z4 + z5) plus a rotation-invariant part, on PAIRS_R2
+    (PAIRS_R2, _var_sum(6, 0, 1) * _var_sum(6, 2, 3) * _var_sum(6, 4, 5)
+     + elementary_symmetric(2, 6).scale(Fraction(-3, 4)), Fraction(5, 3)),
+    # invariant under R, on pairs that only R^2 fixes
+    (PAIRS_R2, elementary_symmetric(3, 6), 2),
+    # antipodal pairs: the pair orbit at distance N/2 holds N/2 pairs, and
+    # e_{N/2}'s image has codes with orbits of 2 and N/2
+    (operator(6, 3), elementary_symmetric(3, 6), ONE),
+    (operator(8, 4), elementary_symmetric(4, 8).scale(Fraction(2, 7)), Fraction(-3, 2)),
+    # short orbits: (1,0,1,0,1,0) has two rotations, the constant one
+    (operator(6, 2), _mono(1, 0, 1, 0, 1, 0) + _mono(0, 1, 0, 1, 0, 1), ONE),
+    (operator(6, 2), elementary_symmetric(3, 6), 2),
+    (operator(6, 2), LaurentPoly.constant(6, Fraction(2, 9)), Fraction(-1, 7)),
+    # not rotation-invariant on the built operator: the trivial group
+    (operator(6, 2), elementary_symmetric(1, 6) * LaurentPoly.variable(6, 0), ONE),
+    (operator(6, 2), elementary_symmetric(1, 6) * LaurentPoly.variable(6, 0), 0),
+    (PAIR01, LaurentPoly(3, {(0, 4, 0): ONE, (3, 1, 0): Fraction(2)}), ONE),
+    # rotation-invariant but not divisible: sum_j z_j^2 z_(j+1)
+    (operator(6, 2), sum((_mono(*(2 if j == k else int(j == (k + 1) % 6) for j in range(6)))
+                          for k in range(6)), LaurentPoly.zero(6)), ONE),
+]
+
+
+def _with_orbit_cases(test):
+    for case in ORBIT_CASES:
+        test = example(case)(test)
+    return test
 
 
 @given(operator_inputs())
+@_with_orbit_cases
 @example((operator(4, 1), elementary_symmetric(2, 4), Fraction(-1, 3)))
 @example((operator(5, 2), power_sum(-1, 5) * elementary_symmetric(2, 5), 2))
 # one group of three with sum_k (2k - 5) c_k = -15 - 3 + 18 = 0; with 5 in
@@ -307,6 +354,7 @@ def test_apply_H1_matches_generic_algebra(case):
 
 
 @given(operator_inputs())
+@_with_orbit_cases
 @example((operator(6, 2), elementary_symmetric(1, 6).scale(Fraction(3, 4)), Fraction(7, 3)))
 @example((operator(6, 2), LaurentPoly.constant(6, Fraction(2, 9)), Fraction(-1, 7)))
 @settings(max_examples=100, deadline=None)
@@ -326,6 +374,34 @@ def test_eigencheck_agrees_with_fraction_reference(case):
             exact_eigencheck(op, p, beta)
     else:
         assert exact_eigencheck(op, p, beta) == want
+
+
+def test_drift_runs_once_per_pair_orbit(monkeypatch):
+    """One drift pass per orbit of the rotation group on the pairs: r_eff of
+    them for a rotation-invariant state on the built operator, not N r_eff,
+    and every pair when the pairs fix no rotation."""
+    seen = []
+    drift = spectral._drift
+
+    def spy(a, b, *rest):
+        seen.append((a, b))
+        return drift(a, b, *rest)
+
+    monkeypatch.setattr(spectral, "_drift", spy)
+    op = operator(12, 4)
+    combo = _named_states(op.params, ONE)["combo"]
+    assert exact_eigencheck(op, combo, ONE) == 12 + 2 * (1 + 8)
+    assert seen == [(0, 1), (0, 2), (0, 3), (0, 4)]
+    seen.clear()
+    p = _var_sum(6, 0, 1) * _var_sum(6, 2, 3) * _var_sum(6, 4, 5)
+    assert apply_H1(PAIRS_R2, p, ONE) == _reference_apply_H1(PAIRS_R2, p, ONE)
+    assert seen == [(0, 1)]
+    seen.clear()
+    # the pairs may come as lists, as `build_pencil` also accepts
+    path = H1Operator(params=derive_params(3, 1), drift_pairs=[[0, 1], [1, 2]])
+    e1 = elementary_symmetric(1, 3)
+    assert apply_H1(path, e1, ONE) == _reference_apply_H1(path, e1, ONE)
+    assert seen == [(0, 1), (1, 2)]
 
 
 def _generic_block(op, degree):
