@@ -74,13 +74,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _common(parser, spectrum=False):
+def _common(parser):
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--r", type=int, required=True)
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument("--length", type=float, default=2.0 * math.pi)
-    if spectrum:
-        parser.add_argument("--degree", type=int, required=True)
 
 
 def _sampling(parser):
@@ -127,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     _output(p)
 
     p = sub.add_parser("spectrum", help="degree-block pencil spectrum of the transformed operator")
-    _common(p, spectrum=True)
+    _common(p)
+    p.add_argument("--degree", type=int, required=True)
     _output(p)
 
     return ap
@@ -217,17 +216,19 @@ def cmd_spectrum(args) -> dict:
 def _to_csv(result: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    rows = result.get("rows") or result.get("eigenvalues")
-    if isinstance(rows, list) and rows and isinstance(rows[0], dict):
+    # the document's table key picks the layout, so an empty table keeps it
+    if "rows" in result:
+        rows = result["rows"]
         keys = sorted({k for row in rows for k in row})
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([row.get(k, "") for k in keys])
+    elif "eigenvalues" in result:
+        rows, keys = result["eigenvalues"], ["multiplicity", "value"]
     else:
-        writer.writerow(["key", "value"])
-        for k in sorted(result):
-            if k != "verdicts":
-                writer.writerow([k, json.dumps(result[k], sort_keys=True)])
+        rows = [{"key": k, "value": json.dumps(v, sort_keys=True)}
+                for k, v in sorted(result.items()) if k != "verdicts"]
+        keys = ["key", "value"]
+    writer.writerow(keys)
+    for row in rows:
+        writer.writerow([row.get(k, "") for k in keys])
     return buf.getvalue()
 
 

@@ -22,12 +22,6 @@ class ParameterDomainError(ValueError):
     """Inputs (N, r, L, beta) outside the admissible domain."""
 
 
-def cyclic_distance(a: int, b: int, n: int) -> int:
-    """Cyclic index distance min(|a-b|, n-|a-b|) for 0-based site indices."""
-    d = abs(a - b) % n
-    return min(d, n - d)
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Validated model parameters plus all derived quantities.

@@ -1,12 +1,12 @@
 """Exact sparse multivariate Laurent polynomial arithmetic.
 
-Coefficients are exact rationals (`Fraction`).  `spectral.apply_H1` uses
-none of the ring operations: it forms D_j, the product by z_a + z_b and the
-quotient by z_a - z_b itself, in integers.  The generic ring operations
-(`apply_D`, `__mul__`, `__add__`, ...) and `exact_divide` are the reference
-for it in the tests; the degree-block pencils are built from their integer
-closed form over the orbit-sum bases here, each partition's necklaces
-generated directly.
+Coefficients are exact rationals (`Fraction`); the constructor is the one
+place that drops zero coefficients.  `spectral.apply_H1` uses none of the
+ring operations: it forms D_j, the product by z_a + z_b and the quotient by
+z_a - z_b itself, in integers.  The generic ring operations (`__mul__`,
+`__add__`, ...) and `exact_divide` are the reference for it in the tests;
+the degree-block pencils are built from their integer closed form over the
+orbit-sum bases here, each partition's necklaces generated directly.
 
 Exponent vectors are plain int tuples; negative exponents are allowed.
 Serialization uses a canonical graded-lexicographic term order so goldens
@@ -76,11 +76,7 @@ class LaurentPoly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            out[e] = out.get(e, ZERO) + c
         return LaurentPoly(self.nvars, out)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -95,11 +91,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, ZERO) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     def scale(self, value) -> "LaurentPoly":
@@ -137,15 +129,7 @@ class LaurentPoly:
     def min_exponent(self) -> int:
         return min((min(e) for e in self.terms), default=0)
 
-    # -- calculus / substitution --------------------------------------
-    def apply_D(self, j: int) -> "LaurentPoly":
-        """Euler operator D_j = z_j d/dz_j: multiply each term by its j-th exponent."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[j]:
-                out[e] = c * e[j]
-        return LaurentPoly(self.nvars, out)
-
+    # -- substitution -------------------------------------------------
     def invert_vars(self) -> "LaurentPoly":
         """Substitute z_i -> 1/z_i for every variable."""
         return LaurentPoly(self.nvars, {tuple(-x for x in e): c for e, c in self.terms.items()})
@@ -394,9 +378,5 @@ def project(p: LaurentPoly, basis_set: BasisSet) -> tuple[list[Fraction], Lauren
         if c:
             coords[i] = c
             for e in el.terms:
-                s = leftover.get(e, ZERO) - c
-                if s:
-                    leftover[e] = s
-                else:
-                    leftover.pop(e, None)
+                leftover[e] = leftover.get(e, ZERO) - c
     return coords, LaurentPoly(p.nvars, leftover)

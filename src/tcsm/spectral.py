@@ -448,15 +448,6 @@ def _primitive(v: list[int]) -> list[int]:
     return v if g in (0, 1) else [c // g for c in v]
 
 
-def vector_poly(block: PencilBlock, vector) -> LaurentPoly:
-    """Assemble exact symmetric-basis coordinates into a polynomial."""
-    out = LaurentPoly.zero(block.sym_basis.nvars)
-    for coord, el in zip(vector, block.sym_basis.elements):
-        if coord:
-            out = out + el.scale(Fraction(coord))
-    return out
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     degree: int
@@ -466,7 +457,6 @@ class SpectrumReport:
     matched_levels: dict = field(default_factory=dict)  # level name -> lambda
     momentum: float = 0.0
     n_spurious: int = 0
-    n_ambiguous: int = 0  # always 0, kept for the output schema
 
     def to_dict(self) -> dict:
         return {
@@ -480,7 +470,7 @@ class SpectrumReport:
             "matched_levels": {name: float(v) for name, v in self.matched_levels.items()},
             "momentum_reduced": self.momentum,
             "spurious_pairs": self.n_spurious,
-            "ambiguous_pairs": self.n_ambiguous,
+            "ambiguous_pairs": 0,  # no threshold is left to leave a pair undecided
         }
 
 

@@ -146,12 +146,6 @@ def _site_sum(a: np.ndarray) -> np.ndarray:
     return a[0]
 
 
-def pair_sum(params: ModelParams, rows: np.ndarray) -> np.ndarray:
-    """Sum over interacting pairs of a per-pair quantity held as distance
-    rows of shape (r_eff, N, ...); shape (...)."""
-    return _site_sum(np.tensordot(_row_weights(params), rows, axes=1))
-
-
 def csc2_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
     """csc^2 = 1 + cot^2 summed over the pairs (j, j + d) held at each site j,
     from the rows of `pair_cot`; shape (N, ...)."""
@@ -165,7 +159,8 @@ def log_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
     Normalization is fixed to 1.
     """
     cot = pair_cot(params, _sites_first(x))
-    return -params.beta * pair_sum(params, np.log(np.hypot(1.0, cot, out=cot), out=cot))
+    log_csc = np.log(np.hypot(1.0, cot, out=cot), out=cot)
+    return -params.beta * _site_sum(np.tensordot(_row_weights(params), log_csc, axes=1))
 
 
 def _grad_log_psi0(params: ModelParams, cot: np.ndarray) -> np.ndarray:

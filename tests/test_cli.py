@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import subprocess
@@ -312,6 +313,28 @@ def test_csv_projection():
     lines = out.strip().splitlines()
     assert lines[0].startswith("N,")
     assert len(lines) == 7  # header + six rows
+
+
+# at degree 4 no level is certified: the table is empty, not a key/value dump
+@pytest.mark.parametrize("degree, rows", [(4, []), (6, ["1,6.0", "1,16.0"])])
+def test_spectrum_csv_layout_is_fixed(degree, rows):
+    code, out = run_cli(
+        "spectrum", "--n", "6", "--r", "2", "--degree", str(degree), "--output", "csv"
+    )
+    assert code == 0
+    assert out.splitlines() == ["multiplicity,value"] + rows
+
+
+def test_params_csv_is_key_value_pairs():
+    code, out = run_cli("params", "--n", "8", "--r", "3", "--output", "csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    assert header == "key,value"
+    pairs = {k: json.loads(v) for k, v in csv.reader(lines)}
+    _, doc = run_cli("params", "--n", "8", "--r", "3")
+    want = json.loads(doc)
+    del want["verdicts"]
+    assert pairs == want
 
 
 def test_out_path(tmp_path):

@@ -8,7 +8,6 @@ from tcsm.model import (
     FULL,
     TRUNCATED,
     ParameterDomainError,
-    cyclic_distance,
     derive_params,
     ground_energy_coeff,
     ground_energy_reduced,
@@ -17,6 +16,8 @@ from tcsm.model import (
     triple_count_formula,
     triple_offsets,
 )
+
+from references import cyclic_distance
 
 
 def test_derive_params_examples():

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 from tcsm.model import (
     ParameterDomainError,
-    cyclic_distance,
     derive_params,
     ground_energy_physical,
 )
@@ -49,6 +48,8 @@ from tcsm.wavefunction import (
     min_cyclic_separation,
     phi_eval_batch,
 )
+
+from references import cyclic_distance
 
 L = 2.0 * math.pi
 
