@@ -33,13 +33,16 @@ from .wavefunction import (
     GROUND,
     SIN_SUM,
     StateSpec,
+    _constant,
     _grad_log_psi0,
-    _laplacian_by_site,
-    _phi_ratios,
+    _node_inverse,
+    _phi_terms,
     _site_sum,
     _sites_first,
+    _term_sums,
     _terms,
     _unboost,
+    _z,
     csc2_by_site,
     grad_log_psi0,  # noqa: F401  re-exported: perfbench reads oracle.grad_log_psi0
     min_cyclic_separation,
@@ -80,38 +83,55 @@ def _three_body_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
     return total
 
 
-def _potential_by_site(params: ModelParams, cot: np.ndarray, csc2: np.ndarray) -> np.ndarray:
-    """Two-body g csc^2 plus three-body -G cot*cot potential per site, from the
-    rows of `pair_cot` and `csc2_by_site`; shape (N, ...)."""
-    unit = (math.pi / params.length) ** 2
-    return params.g * unit * csc2 - params.big_g * unit * _three_body_by_site(params, cot)
-
-
 def potential_energy(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Two-body csc^2 plus three-body -cot*cot potential, batched over (..., N)."""
     cot = pair_cot(params, _sites_first(x))
-    return _site_sum(_potential_by_site(params, cot, csc2_by_site(params, cot)))
+    unit = (math.pi / params.length) ** 2
+    two_body = params.g * unit * csc2_by_site(params, cot)
+    return _site_sum(two_body - params.big_g * unit * _three_body_by_site(params, cot))
 
 
 def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
     """((H psi)/psi as complex, node mask) for psi = psi0 * phi.
 
-    One pass: the distance rows give the gradient g of log psi0 and the
-    csc^2 sums once, which serve both the psi0 Laplacian and the potential.
-    Their per-site terms are combined before the sum over sites, and the
-    rows are released before phi is evaluated.  With k = 2 pi i / L,
-    (H psi)/psi = -Delta psi0 / (2 psi0) + V
-                  - (k sum_m g_m D_m phi + k^2 sum_m D_m^2 phi / 2) / phi.
+    One pass.  The distance rows give the real part -Delta psi0 / (2 psi0)
+    + V in one per-site buffer, with at most three blocks beside them: the
+    three-body -G (pi/L)^2 cot*cot, then (g + beta) (pi/L)^2 csc^2 at the
+    site holding a pair (psi0's Laplacian puts -beta (pi/L)^2 csc^2 at
+    both ends), then -g0^2 / 2, g0 the gradient of log psi0.
+    With k = 2 pi i / L,
+    (H psi)/psi = real - (k sum_m g0_m D_m phi + k^2 sum_m D_m^2 phi / 2) / phi.
+    G^m cancels for a named state, and sum_m g0_m = 0, so both sums are per
+    sample (`_term_sums`); z is formed only for a factor e1 or conj(e1).
     """
     xs = _sites_first(x)
     cot = pair_cot(params, xs)
+    unit = (math.pi / params.length) ** 2
+    real = _three_body_by_site(params, cot)
+    real *= -params.big_g * unit
+    scratch = csc2_by_site(params, cot)
+    scratch *= (params.g + params.beta) * unit
+    real += scratch
     g0 = _grad_log_psi0(params, cot)
-    csc2 = csc2_by_site(params, cot)
-    real = _site_sum(_potential_by_site(params, cot, csc2) - 0.5 * _laplacian_by_site(params, g0, csc2))
-    del cot, csc2
-    _, d, lap, inv, nodes = _phi_ratios(spec, params, xs)
+    np.multiply(g0, g0, out=scratch)
+    scratch *= 0.5
+    real -= scratch
+    del cot, scratch
+    real = _site_sum(real)
+    terms = _terms(spec, _constant(params))
+    if terms is None:
+        phi, d, lap = _phi_terms(spec, params, xs)
+        cross = _site_sum(g0 * d)
+    else:
+        e1 = s = None
+        if any(a or b for _, a, b, _ in terms):
+            z = _z(params, xs)
+            e1, s = z.sum(axis=0), np.einsum("j...,j...->...", g0, z)
+        phi, cross, lap = _term_sums(terms, params.n, e1, s)
+        phi = np.broadcast_to(phi, real.shape)
+    inv, nodes = _node_inverse(spec, params, phi)
     k = 2j * math.pi / params.length
-    return real - (k * _site_sum(g0 * d) + 0.5 * k * k * lap) * inv, nodes
+    return real - (k * cross + 0.5 * k * k * lap) * inv, nodes
 
 
 def _presorted_min_separation(xs: np.ndarray, length: float) -> np.ndarray:
@@ -331,18 +351,19 @@ def verify_eigenstate(
     mean = float(re.mean())
     stddev = float(re.std())
     max_dev = float(np.abs(re - mean).max())
-    imag_ratio = float(np.abs(energies.imag).max() / (np.abs(mean) + 1.0))
+    scale = 2.0 * conversion_factor(params)  # (2 pi / L)^2 scales as E; 1 at L = 2 pi
+    imag_ratio = float(np.abs(energies.imag).max() / (np.abs(mean) + scale))
     if not all(map(math.isfinite, (mean, stddev, max_dev, imag_ratio))):
         raise ParameterDomainError(
             f"the local energy or its spread overflows at beta={params.beta!r}, L={params.length!r}"
         )
     c0 = conversion_coefficient()
     reduced = to_reduced(params, mean)
-    ok = stddev / (abs(mean) + 1.0) < tol and imag_ratio <= IMAG_RATIO_TOL
+    ok = stddev / (abs(mean) + scale) < tol and imag_ratio <= IMAG_RATIO_TOL
     if predicted is None:
         verdict = NO_PREDICTION if ok else FAIL
     else:
-        verdict = PASS if ok and abs(mean - predicted) / (abs(predicted) + 1.0) < tol else FAIL
+        verdict = PASS if ok and abs(mean - predicted) / (abs(predicted) + scale) < tol else FAIL
     return ResidualReport(
         state=spec.label(),
         samples=count,
@@ -390,6 +411,7 @@ def run_table1_rows(samples: int = 2000, seed: int = 1) -> list:
                 report.energy_mean * params.length**2 / math.pi**2
             )
             row["oracle_confirms_formula"] = report.verdict == PASS
-            row["oracle_relative_stddev"] = report.energy_stddev / (abs(report.energy_mean) + 1.0)
+            row["oracle_relative_stddev"] = report.energy_stddev / (
+                abs(report.energy_mean) + 2.0 * conversion_factor(params))
         rows.append(row)
     return rows

@@ -10,11 +10,11 @@ first, on (N, ...) arrays (`_sites_first`): pair sums run over one row per
 cyclic distance (`pair_cot`, shape (r_eff, N, ...)), a shift to a partner
 site moves whole rows, and sums over sites are taken pairwise (`_site_sum`).
 Each named excitation factor is one short list of terms
-coeff * e1^a * conj(e1)^b * G^m (`_terms`); one product-rule evaluator
-(`_phi_terms`) differentiates every list, and the node scale and the degree
-are read off it.  Two independent differentiation paths exist for every
-quantity: the analytic formulas here and the second-order dual-number path
-in `dual_paths`.
+coeff * e1^a * conj(e1)^b * G^m (`_terms`); `_term_sums` differentiates
+every list over G^m, and the node scale and the degree are read off it.
+Two independent differentiation paths exist for every quantity: the
+analytic formulas here and the second-order dual-number path in
+`dual_paths`.
 """
 
 from __future__ import annotations
@@ -169,8 +169,10 @@ def _grad_log_psi0(params: ModelParams, cot: np.ndarray) -> np.ndarray:
     n, w = params.n, _row_weights(params)
     grad = np.tensordot(w, cot, axes=1)
     for d, (wd, c) in enumerate(zip(w, cot), 1):
-        grad[d:] -= wd * c[: n - d]
-        grad[:d] -= wd * c[n - d :]
+        if wd != 1.0:
+            c = wd * c
+        grad[d:] -= c[: n - d]
+        grad[:d] -= c[n - d :]
     grad *= params.beta * math.pi / params.length
     return grad
 
@@ -180,17 +182,11 @@ def grad_log_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
     return np.moveaxis(_grad_log_psi0(params, pair_cot(params, _sites_first(x))), 0, -1)
 
 
-def _laplacian_by_site(params: ModelParams, g: np.ndarray, csc2: np.ndarray) -> np.ndarray:
-    """g_j^2 + h_j per site from the sites-first gradient and `csc2_by_site`:
-    each pair's -beta (pi/L)^2 csc^2 second derivative lands on both of its
-    ends, so the site holding the pair counts it twice; shape (N, ...)."""
-    return g * g - 2.0 * params.beta * (math.pi / params.length) ** 2 * csc2
-
-
 def laplacian_ratio_psi0(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Delta psi0 / psi0 = sum_m (g_m^2 + h_m), h from the csc^2 second derivatives."""
     cot = pair_cot(params, _sites_first(x))
-    return _site_sum(_laplacian_by_site(params, _grad_log_psi0(params, cot), csc2_by_site(params, cot)))
+    g = _grad_log_psi0(params, cot)
+    return _site_sum(g * g - 2.0 * params.beta * (math.pi / params.length) ** 2 * csc2_by_site(params, cot))
 
 
 def _z(params: ModelParams, xs: np.ndarray) -> np.ndarray:
@@ -245,24 +241,42 @@ def phi_node_scale(spec: StateSpec, params: ModelParams) -> float:
     return float(sum(abs(k) * params.n ** (a + b) for k, a, b, _ in terms))
 
 
+def _term_sums(terms, n: int, e1, uz):
+    """(p, d, lap) for phi = G^m p, p = sum coeff e1^a conj(e1)^b over a list
+    of `_terms` (one m), e1 = sum z: d = sum_m u_m (D_m phi / G^m - m p) for
+    real u_m, given uz = sum_m u_m z_m, and lap = sum_m D_m^2 phi / G^m.
+    D_m e1 = z_m, D_m conj(e1) = -conj(z_m), D_m G = G and
+    sum_m z_m conj(z_m) = N give, for each term T = coeff e1^a conj(e1)^b,
+      D_m (G^m T) / G^m = coeff (a conj(e1)^b z_m - b e1^a conj(z_m)) + m T,
+      sum_m D_m^2 (G^m T) / G^m = (a (2m + 1) - b (2m - 1) + N m^2) T - 2abN coeff.
+    e1, uz are read only for a term with a or b."""
+    m = terms[0][3]
+    p = d = lap = 0.0
+    for k, a, b, _ in terms:
+        t = k * (e1 if a else 1.0) * (e1.conj() if b else 1.0)
+        p = p + t
+        lap = lap + (a * (2 * m + 1) - b * (2 * m - 1) + n * m * m) * t - 2 * a * b * n * k
+        if a:
+            d = d + (k * e1.conj() if b else k) * uz
+        if b:
+            d = d - (k * e1 if a else k) * uz.conj()
+    return p, d, lap
+
+
 def _phi_terms(spec: StateSpec, params: ModelParams, xs: np.ndarray):
     """Return (phi, D, lap) at sites-first positions xs of shape (N, ...):
     phi and lap = sum_m D_m^2 phi of shape (...), D of shape (N, ...)
     holding D_m phi, with D_m = z_m d/dz_m.
 
-    D_m e1 = z_m, D_m conj(e1) = -conj(z_m), D_m G = G and
-    sum_m z_m conj(z_m) = N, so each term T = coeff e1^a conj(e1)^b G^m of
-    `_terms` gives
-      D_m T = coeff G^m (a conj(e1)^b z_m - b e1^a conj(z_m)) + m T,
-      sum_m D_m^2 T = (a (2m + 1) - b (2m - 1) + N m^2) T - 2abN coeff G^m.
-    z is not computed when no term needs it (the ground state)."""
-    n, shape = params.n, xs.shape[1:]
+    A named state is G^m times `_term_sums`: rounding stays relative to p
+    where its terms cancel, near a node of phi."""
+    shape = xs.shape[1:]
     terms = _terms(spec, _constant(params))
-    phi = np.zeros(shape, dtype=complex)
-    lap = np.zeros(shape, dtype=complex)
+    z = _z(params, xs)
     if terms is None:
         base, q = _unboost(spec)
-        z = _z(params, xs)
+        phi = np.zeros(shape, dtype=complex)
+        lap = np.zeros(shape, dtype=complex)
         d = np.zeros(xs.shape, dtype=complex)
         for exps, coeff in base.poly.terms.items():
             exps = [e + q for e in exps]
@@ -276,49 +290,15 @@ def _phi_terms(spec: StateSpec, params: ModelParams, xs: np.ndarray):
                     d[j] += e * mono
                     lap += e * e * mono
         return phi, d, lap
-    if any(a or b or m for _, a, b, m in terms):
-        z = _z(params, xs)
-        e1 = z.sum(axis=0)
-    same = np.zeros(shape, dtype=complex)  # the part of D_m phi that is the same at every site
-    at_z, at_zbar = [], []  # per-sample factors of z_m and conj(z_m) in D_m phi
-    # G^m multiplies the sum of the terms at each m once, so rounding stays
-    # relative to that sum where its terms cancel, near a node of phi
-    for m in sorted({m for *_, m in terms}):
-        gm = z.prod(axis=0) ** m if m else 1.0
-        t = lap_m = 0.0
-        for k, a, b, _ in (term for term in terms if term[3] == m):
-            tk = k * (e1 if a else 1.0) * (e1.conj() if b else 1.0)
-            t = t + tk
-            lap_m = lap_m + (a * (2 * m + 1) - b * (2 * m - 1)) * tk - 2 * a * b * n * k
-            if a:
-                at_z.append(gm * (k * e1.conj() if b else k))
-            if b:
-                at_zbar.append(-gm * (k * e1 if a else k))
-        t = gm * t
-        phi += t
-        lap += gm * lap_m + n * m * m * t
-        same += m * t
-    d = np.broadcast_to(same, xs.shape)
-    if at_z:
-        d = z * sum(at_z)
-        d += same
-    if at_zbar:
-        z_bar = z.conj()
-        z_bar *= sum(at_zbar)
-        d = np.add(z_bar, d, out=z_bar)
-    return phi, d, lap
+    p, d, lap = _term_sums(terms, params.n, z.sum(axis=0), z)
+    gm = z.prod(axis=0) ** terms[0][3]
+    return gm * p, np.broadcast_to(gm * (d + terms[0][3] * p), xs.shape), gm * lap
 
 
-def _phi_ratios(spec: StateSpec, params: ModelParams, xs: np.ndarray):
-    """(phi, D, lap, 1/phi, node mask) at sites-first positions.
-
-    The node mask marks configurations with |phi| below NODE_RTOL times
-    the state's magnitude scale; 1/phi there is replaced by 1 and the
-    ratios must be dropped.
-    """
-    phi, d, lap = _phi_terms(spec, params, xs)
+def _node_inverse(spec: StateSpec, params: ModelParams, phi: np.ndarray):
+    """(1/phi, node mask) as in `phi_eval_batch`; 1/phi is 1 at a node."""
     nodes = np.abs(phi) < NODE_RTOL * phi_node_scale(spec, params)
-    return phi, d, lap, 1.0 / np.where(nodes, 1.0, phi), nodes
+    return 1.0 / np.where(nodes, 1.0, phi), nodes
 
 
 def phi_eval_batch(spec: StateSpec, params: ModelParams, x: np.ndarray):
@@ -327,7 +307,8 @@ def phi_eval_batch(spec: StateSpec, params: ModelParams, x: np.ndarray):
     Node mask marks configurations with |phi| below NODE_RTOL times the
     state's magnitude scale; ratios there are invalid and must be dropped.
     """
-    phi, d, lap, inv, nodes = _phi_ratios(spec, params, _sites_first(x))
+    phi, d, lap = _phi_terms(spec, params, _sites_first(x))
+    inv, nodes = _node_inverse(spec, params, phi)
     w = 2j * math.pi / params.length
     return phi, np.moveaxis(w * d * inv, 0, -1), w * w * lap * inv, nodes
 

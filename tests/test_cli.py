@@ -191,6 +191,19 @@ def test_overflowing_parameter_rejected(argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["params", "--n", "6", "--r", "2"],
+    ["verify-ground", "--n", "6", "--r", "2"],
+    ["verify-excited", "--n", "6", "--r", "2", "--state", "e1"],
+    ["spectrum", "--n", "6", "--r", "2", "--degree", "2"],
+])
+@pytest.mark.parametrize("length", ["3e154", "1e165"])
+def test_underflowing_length_rejected(argv, length):
+    # (pi/L)^2 is subnormal from L = 2.1e154 and 0 at 1e165, where params
+    # printed E0_physical 0.0 and the oracle divided by a zero unit
+    assert "underflows" in assert_usage_error(*argv, "--length", length)
+
+
+@pytest.mark.parametrize("argv", [
     ["verify-ground", "--n", "6", "--r", "2"],
     ["verify-excited", "--n", "6", "--r", "2", "--state", "e1"],
     ["table1"],

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -135,7 +136,11 @@ def differential_states(n):
     return [StateSpec(kind) for kind in (GROUND, E1, ENM1, EN, COMBO, COS_SUM, SIN_SUM, NONDEG_ZERO)] + [
         StateSpec(BOOSTED, q=-1, base=StateSpec(ENM1)),
         StateSpec(BOOSTED, q=1, base=StateSpec(COMBO)),
+        StateSpec(BOOSTED, q=-2, base=StateSpec(COMBO)),
         StateSpec(BOOSTED, q=2, base=StateSpec(E1)),
+        StateSpec(BOOSTED, q=1, base=StateSpec(COS_SUM)),
+        StateSpec(BOOSTED, q=-1, base=StateSpec(SIN_SUM)),
+        StateSpec(BOOSTED, q=2, base=StateSpec(BOOSTED, q=-3, base=StateSpec(NONDEG_ZERO))),
         StateSpec(POLY, poly=poly),
     ]
 
@@ -160,6 +165,23 @@ def test_one_pass_local_energy_matches_composed_reference():
             err = np.abs(got[keep] - want[keep])
             assert np.all(err <= 1e-12 * magnitude[keep]), (n, r, spec.label(), err / magnitude[keep])
     assert len(seen) == 2 * len(differential_states(3))
+
+
+def test_local_energy_peak_memory():
+    # numpy reports its buffers to tracemalloc.  The real part holds at most
+    # three (N, count) blocks beside the r_eff distance rows; the per-sample
+    # sums add no full-size complex array but z, formed after the rows go.
+    n, count = 12, 5000
+    p = derive_params(n, 4, beta=1.5)
+    x = sample_positions(p, count, seed=1)
+    local_energy_batch(p, StateSpec(COMBO), x)
+    tracemalloc.start()
+    try:
+        local_energy_batch(p, StateSpec(COMBO), x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (p.r_eff + 4) * n * count * 8, peak / (n * count * 8)
 
 
 def test_three_body_grouping_matches_offset_loop():
@@ -505,6 +527,18 @@ def test_table_conflict_adjudication():
     bad = verify_eigenstate(p, StateSpec(GROUND), count=500, seed=1, predicted=30 * w, tol=1e-8)
     assert good.verdict == PASS
     assert bad.verdict == FAIL
+
+
+@pytest.mark.parametrize("length", [L, 1e6, 1e8])
+def test_verdict_does_not_depend_on_length(length):
+    # energies scale as (pi/L)^2, and so does the floor of the relative tests
+    p = derive_params(9, 3, length=length)
+    w = (math.pi / length) ** 2
+    assert verify_eigenstate(p, StateSpec(GROUND), count=200, predicted=57 * w).verdict == PASS
+    assert verify_eigenstate(p, StateSpec(GROUND), count=200, predicted=30 * w).verdict == FAIL
+    # a boosted sin is not an eigenstate: its degree +1 and -1 parts shift apart
+    sin = StateSpec(BOOSTED, q=1, base=StateSpec(SIN_SUM))
+    assert verify_eigenstate(derive_params(6, 2, length=length), sin, count=200).verdict == FAIL
 
 
 def test_full_regime_ground():
