@@ -82,7 +82,7 @@ def _common(parser):
 
 
 def _sampling(parser):
-    # the oracle's tolerance and separation floor are its own, not the caller's
+    # the oracle's rounding bound and separation floor are its own, not the caller's
     parser.add_argument("--samples", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=1)
 
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     result["command"] = args.command
-    result["schema_version"] = "3"
+    result["schema_version"] = "4"
     if args.command in ("table1", "verify-ground", "verify-excited"):
         result["conversion_c0"] = conversion_coefficient()
     if args.output == "csv":

@@ -77,8 +77,10 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
         raise ParameterDomainError(
             f"g, G, (pi/L)^2 or an energy scale G (pi/L)^2 overflows at beta={beta!r}, L={length!r}"
         )
-    if unit < 2.0**-1022:  # subnormal: energies would lose digits
-        raise ParameterDomainError(f"(pi/L)^2 underflows at L={length!r}")
+    if min(unit, big_g * unit) < 2.0**-1022:  # subnormal: energies would lose digits
+        raise ParameterDomainError(
+            f"(pi/L)^2 or G (pi/L)^2 underflows at beta={beta!r}, L={length!r}"
+        )
 
     c = n // 2
     regime = FULL if r >= c else TRUNCATED

@@ -27,10 +27,10 @@ import numpy as np
 from .model import ModelParams
 
 SEPARATION_FLOOR = 1e-300
-# The imaginary part of the local energy is pure rounding error, and near a
-# node of phi it grows like 3e-16 / (|phi| / scale).  Rejecting |phi| / scale
-# below 1e-6 keeps it under about 3e-10, inside the oracle's IMAG_RATIO_TOL
-# of 1e-9, so a sample close to a node cannot fail a true eigenstate.
+# Near a node of phi the local energy's rounding error grows like P / |phi|,
+# P the node scale.  The oracle's bound M grows with it, so no verdict needs
+# this cut; it keeps that growth under 1e6, so that a sample close to a node
+# cannot move the reported mean.
 NODE_RTOL = 1e-6
 
 
@@ -232,13 +232,17 @@ def _terms(spec: StateSpec, c: float) -> list[tuple[complex, int, int, int]] | N
     return None if table is None else [(k, a, b, m + q) for k, a, b, m in table]
 
 
-def phi_node_scale(spec: StateSpec, params: ModelParams) -> float:
-    """Magnitude scale of phi on |z|=1, used for node detection: the sum of
-    |coeff| N^(a + b) over its terms, as |e1| and |conj(e1)| are at most N."""
+def phi_moduli(spec: StateSpec, params: ModelParams) -> tuple[float, int]:
+    """(P, e) for phi as a sum of monomials in z: P sums their moduli on
+    |z| = 1 (|e1| and |conj(e1)| are at most N), the magnitude scale for
+    node detection, and e bounds the modulus of every exponent."""
     terms = _terms(spec, _constant(params))
     if terms is None:
-        return float(sum(abs(float(c)) for c in _unboost(spec)[0].poly.terms.values()))
-    return float(sum(abs(k) * params.n ** (a + b) for k, a, b, _ in terms))
+        base, q = _unboost(spec)
+        return (float(sum(abs(float(c)) for c in base.poly.terms.values())),
+                max((abs(e + q) for exps in base.poly.terms for e in exps), default=0))
+    return (float(sum(abs(k) * params.n ** (a + b) for k, a, b, _ in terms)),
+            max(abs(m) + (a or b) for _, a, b, m in terms))
 
 
 def _term_sums(terms, n: int, e1, uz):
@@ -295,9 +299,9 @@ def _phi_terms(spec: StateSpec, params: ModelParams, xs: np.ndarray):
     return gm * p, np.broadcast_to(gm * (d + terms[0][3] * p), xs.shape), gm * lap
 
 
-def _node_inverse(spec: StateSpec, params: ModelParams, phi: np.ndarray):
+def _node_inverse(phi: np.ndarray, scale: float):
     """(1/phi, node mask) as in `phi_eval_batch`; 1/phi is 1 at a node."""
-    nodes = np.abs(phi) < NODE_RTOL * phi_node_scale(spec, params)
+    nodes = np.abs(phi) < NODE_RTOL * scale
     return 1.0 / np.where(nodes, 1.0, phi), nodes
 
 
@@ -308,7 +312,7 @@ def phi_eval_batch(spec: StateSpec, params: ModelParams, x: np.ndarray):
     state's magnitude scale; ratios there are invalid and must be dropped.
     """
     phi, d, lap = _phi_terms(spec, params, _sites_first(x))
-    inv, nodes = _node_inverse(spec, params, phi)
+    inv, nodes = _node_inverse(phi, phi_moduli(spec, params)[0])
     w = 2j * math.pi / params.length
     return phi, np.moveaxis(w * d * inv, 0, -1), w * w * lap * inv, nodes
 

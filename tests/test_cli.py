@@ -9,9 +9,6 @@ import pytest
 
 from tcsm import cli
 from tcsm.cli import main
-from tcsm.model import ParameterDomainError, derive_params
-from tcsm.oracle import verify_eigenstate
-from tcsm.wavefunction import GROUND, StateSpec
 
 
 def run_cli(*argv):
@@ -95,6 +92,10 @@ def test_verify_ground_pass():
     assert code == 0
     assert data["verdict"] == "Pass"
     assert abs(data["energy_mean"] - 5.0) < 1e-8  # 20 * pi^2/L^2 at L = 2*pi
+    # schema 4: one rounding multiple in place of tol and imag_ratio
+    assert data["schema_version"] == "4"
+    assert "tol" not in data and "imag_ratio" not in data
+    assert 0.0 <= data["rounding_multiple"] <= 64.0
 
 
 @pytest.mark.parametrize("n, r", [(6, 2), (9, 4)])
@@ -129,8 +130,8 @@ def test_verify_excited_boosted():
 
 def test_verify_excited_near_node():
     # one sample lies at |phi|/scale = 3.9e-9; it must be rejected as a node
-    # hit, not fail the state on the rounding error of its imaginary part
-    # (with a node threshold of 1e-10 this seed fails, imag_ratio 1.5e-9)
+    # hit: the rounding bound covers its error, so the state would still
+    # pass, but kept it moves the mean by 6e-12 of the level
     code, out = run_cli(
         "verify-excited", "--n", "9", "--r", "3", "--state", "combo", "--samples", "5000",
         "--seed", "1119",
@@ -139,6 +140,7 @@ def test_verify_excited_near_node():
     assert code == 0, data
     assert data["verdict"] == "Pass"
     assert data["node_rejections"] >= 1
+    assert data["reduced_mean"] == pytest.approx(23.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -234,15 +236,6 @@ def test_unallocatable_sample_count_rejected():
 
 def test_spectrum_degree_zero_rejected():
     assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "0")
-
-
-# the command line leaves the tolerance to the oracle, whose API still
-# rejects a bad one
-@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
-def test_bad_oracle_tol_rejected(tol):
-    p = derive_params(6, 2)
-    with pytest.raises(ParameterDomainError, match="tol"):
-        verify_eigenstate(p, StateSpec(GROUND), count=50, tol=float(tol))
 
 
 # the spectrum is exact, so no tolerance decides it: spectrum has no --tol

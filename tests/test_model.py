@@ -59,6 +59,7 @@ def test_coupling_relations():
         dict(n=6, r=2, beta=1e150, length=1e-3),  # G (pi/L)^2 finite, the ground energy not
         dict(n=6, r=2, length=3e154),  # (pi/L)^2 subnormal
         dict(n=6, r=2, length=1e165),  # (pi/L)^2 rounds to 0
+        dict(n=6, r=2, beta=1e-160),  # G (pi/L)^2 subnormal
     ],
 )
 def test_domain_rejection(bad):

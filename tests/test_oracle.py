@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -158,13 +159,36 @@ def test_one_pass_local_energy_matches_composed_reference():
             spec = states[(n + r) % len(states)]
             seen.add((spec.label(), p.regime))
             x = sample_positions(p, 8, seed=n + 100 * r)
-            got, nodes = local_energy_batch(p, spec, x)
+            got, nodes, _ = local_energy_batch(p, spec, x)
             want, want_nodes, magnitude = composed_local_energy(p, spec, x)
             np.testing.assert_array_equal(nodes, want_nodes)
             keep = ~nodes
             err = np.abs(got[keep] - want[keep])
             assert np.all(err <= 1e-12 * magnitude[keep]), (n, r, spec.label(), err / magnitude[keep])
     assert len(seen) == 2 * len(differential_states(3))
+
+
+def test_rounding_magnitude_of_the_real_part():
+    # phi = 1 for the ground state, so M holds the real part's terms alone:
+    # csc^2 and g0^2 are their own moduli, and the three-body |cot_s cot_t|,
+    # summed here one offset pair at a time, stay below T G (pi/L)^2 sum csc^2
+    # for a row s that meets at most T rows t
+    for n, r in [(6, 2), (8, 4), (9, 3), (13, 4), (20, 6)]:
+        for beta in (0.5, 2.0):
+            p = derive_params(n, r, beta=beta)
+            x = sample_positions(p, 20, seed=n)
+            cot = sites_last_cot(p, x)
+            weights = np.where(2 * np.arange(1, p.r_eff + 1) == n, 0.5, 1.0)
+            csc2 = np.tensordot(weights, (cot * cot).sum(axis=-1) + n, axes=1)
+            pairs = offset_pairs(p)
+            meets = max(Counter(s for s, _ in pairs).values(), default=0)
+            three = sum((np.abs(np.roll(cot[s - 1], s, axis=-1) * cot[t - 1]).sum(axis=-1)
+                         for s, t in pairs), 0.0)
+            half_g0_sq = 0.5 * (grad_log_psi0(p, x) ** 2).sum(axis=-1)
+            unit = p.big_g * (math.pi / p.length) ** 2
+            mag = local_energy_batch(p, StateSpec(GROUND), x)[2]
+            np.testing.assert_allclose(mag, half_g0_sq + (1 + meets) * unit * csc2, rtol=1e-12)
+            assert np.all(mag >= half_g0_sq + unit * (csc2 + three)), (n, r, beta)
 
 
 def test_local_energy_peak_memory():
@@ -232,7 +256,7 @@ def test_ground_local_energy_constants():
     for (n, r), coeff in [((6, 2), 20), ((8, 3), 56), ((4, 2), 10)]:
         p = derive_params(n, r, beta=1.0)
         x = sample_positions(p, 200, seed=5)
-        e, nodes = local_energy_batch(p, StateSpec(GROUND), x)
+        e, nodes, _ = local_energy_batch(p, StateSpec(GROUND), x)
         expect = coeff * (math.pi / p.length) ** 2
         np.testing.assert_allclose(e.real, expect, rtol=1e-10)
         assert abs(e.imag).max() == 0.0
@@ -468,7 +492,7 @@ def test_local_energy_holds_on_redrawn_rows(monkeypatch):
     x = sample_positions(p, 2000, seed=1, min_sep_frac=(1 - 1e-12) / 64)
     assert len(rounds) > 1 and rounds[0] == 2000
     spec = StateSpec(COMBO)
-    e, nodes = local_energy_batch(p, spec, x)
+    e, nodes, _ = local_energy_batch(p, spec, x)
     re = e[~nodes].real
     assert re.size > 0
     assert re.std() / (abs(re.mean()) + 1.0) < 1e-8
@@ -492,7 +516,7 @@ def test_conversion_is_two():
     # above the ground state
     p = derive_params(4, 1, beta=1.0)
     x = sample_positions(p, 64, seed=20260826, min_sep_frac=1e-2)
-    e, nodes = local_energy_batch(p, StateSpec(E1), x)
+    e, nodes, _ = local_energy_batch(p, StateSpec(E1), x)
     gap = float(e[~nodes].real.mean()) - ground_energy_physical(p)
     measured = gap * p.length**2 / math.pi**2 / (1.0 + 2.0 * p.beta)
     assert measured == pytest.approx(2.0, rel=1e-10)
@@ -523,22 +547,24 @@ def test_overflowing_local_energy_rejected(spec, length):
 def test_table_conflict_adjudication():
     p = derive_params(9, 3, beta=1.0)
     w = (math.pi / p.length) ** 2
-    good = verify_eigenstate(p, StateSpec(GROUND), count=500, seed=1, predicted=57 * w, tol=1e-8)
-    bad = verify_eigenstate(p, StateSpec(GROUND), count=500, seed=1, predicted=30 * w, tol=1e-8)
+    good = verify_eigenstate(p, StateSpec(GROUND), count=500, seed=1, predicted=57 * w)
+    bad = verify_eigenstate(p, StateSpec(GROUND), count=500, seed=1, predicted=30 * w)
     assert good.verdict == PASS
     assert bad.verdict == FAIL
 
 
 @pytest.mark.parametrize("length", [L, 1e6, 1e8])
 def test_verdict_does_not_depend_on_length(length):
-    # energies scale as (pi/L)^2, and so does the floor of the relative tests
-    p = derive_params(9, 3, length=length)
-    w = (math.pi / length) ** 2
-    assert verify_eigenstate(p, StateSpec(GROUND), count=200, predicted=57 * w).verdict == PASS
-    assert verify_eigenstate(p, StateSpec(GROUND), count=200, predicted=30 * w).verdict == FAIL
-    # a boosted sin is not an eigenstate: its degree +1 and -1 parts shift apart
+    # the rounding bound has no units, so neither (pi/L)^2 nor beta^2 moves it
     sin = StateSpec(BOOSTED, q=1, base=StateSpec(SIN_SUM))
-    assert verify_eigenstate(derive_params(6, 2, length=length), sin, count=200).verdict == FAIL
+    for beta in (1e-5, 1e-3, 1.0, 20.0):
+        p = derive_params(9, 3, length=length, beta=beta)
+        w = beta * beta * (math.pi / length) ** 2
+        assert verify_eigenstate(p, StateSpec(GROUND), count=200, predicted=57 * w).verdict == PASS
+        assert verify_eigenstate(p, StateSpec(GROUND), count=200, predicted=30 * w).verdict == FAIL
+        # a boosted sin is not an eigenstate: its degree +1 and -1 parts shift apart
+        p = derive_params(6, 2, length=length, beta=beta)
+        assert verify_eigenstate(p, sin, count=200).verdict == FAIL, beta
 
 
 def test_full_regime_ground():
@@ -556,7 +582,7 @@ def test_full_regime_ground():
 def test_node_error_at_equispaced():
     # e1 = sum z vanishes at equispaced sites: a batch of one shows the node in its mask
     p = derive_params(6, 2)
-    _, nodes = local_energy_batch(p, StateSpec(E1), (np.arange(6) * p.length / 6)[None, :])
+    _, nodes, _ = local_energy_batch(p, StateSpec(E1), (np.arange(6) * p.length / 6)[None, :])
     assert nodes.tolist() == [True]
 
 
@@ -575,8 +601,8 @@ def test_nondeg_level_and_reflection_invariance():
     assert report.verdict == PASS
     assert report.reduced_mean == pytest.approx(2 + 4 * p.r * p.beta, rel=1e-9)
     x = sample_positions(p, 50, seed=6)
-    e1, _ = local_energy_batch(p, spec, x)
-    e2, _ = local_energy_batch(p, spec, (p.length - x) % p.length)
+    e1 = local_energy_batch(p, spec, x)[0]
+    e2 = local_energy_batch(p, spec, (p.length - x) % p.length)[0]
     np.testing.assert_allclose(e1.real, e2.real, rtol=1e-10)
 
 
@@ -587,7 +613,7 @@ def test_all_listed_states_configuration_independent():
             for kind in (E1, ENM1, EN, COMBO, COS_SUM, SIN_SUM, NONDEG_ZERO):
                 spec = StateSpec(kind)
                 report = verify_eigenstate(
-                    p, spec, count=300, seed=11, predicted=predicted_physical(spec, p), tol=1e-9
+                    p, spec, count=300, seed=11, predicted=predicted_physical(spec, p)
                 )
                 assert report.verdict == PASS, (n, r, beta, kind, report)
 

@@ -30,7 +30,7 @@ from tcsm.wavefunction import (
     log_psi0,
     min_cyclic_separation,
     phi_eval_batch,
-    phi_node_scale,
+    phi_moduli,
 )
 
 L = 2.0 * math.pi
@@ -283,24 +283,25 @@ def test_node_scale_and_degree_of_every_kind(n, r, beta):
     p = derive_params(n, r, beta=beta)
     assert p.truncated
     c = n / (1 + 2 * r * beta)
-    expected = {  # kind -> (node scale, degree)
-        GROUND: (1, 0),
-        E1: (n, 1),
-        ENM1: (n, n - 1),
-        EN: (1, n),
-        COMBO: (n * n + c, n),
-        COS_SUM: (n, None),
-        SIN_SUM: (n, None),
-        NONDEG_ZERO: (n * n + c, 0),
+    expected = {  # kind -> (node scale, degree, exponent bound)
+        GROUND: (1, 0, 0),
+        E1: (n, 1, 1),
+        ENM1: (n, n - 1, 2),
+        EN: (1, n, 1),
+        COMBO: (n * n + c, n, 2),
+        COS_SUM: (n, None, 1),
+        SIN_SUM: (n, None, 1),
+        NONDEG_ZERO: (n * n + c, 0, 1),
     }
-    for kind, (scale, degree) in expected.items():
+    for kind, (scale, degree, bound) in expected.items():
         spec = StateSpec(kind)
+        assert phi_moduli(spec, p)[1] == bound, kind
         nested = StateSpec(BOOSTED, q=2, base=StateSpec(BOOSTED, q=-1, base=spec))
         for q, s in [(0, spec), (-2, StateSpec(BOOSTED, q=-2, base=spec)), (1, nested)]:
-            assert phi_node_scale(s, p) == pytest.approx(scale, rel=1e-15), s.label()
+            assert phi_moduli(s, p)[0] == pytest.approx(scale, rel=1e-15), s.label()
             assert state_degree(s, n) == (None if degree is None else degree + n * q), s.label()
     poly = StateSpec(POLY, poly=LaurentPoly(n, {(1,) * n: Fraction(-3, 2), (2,) + (0,) * (n - 1): 1}))
-    assert phi_node_scale(poly, p) == 2.5
+    assert phi_moduli(poly, p) == (2.5, 2)
     assert state_degree(poly, n) is None
 
 
