@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,18 +110,21 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
 
 
 def interaction_pairs(params: ModelParams) -> list[tuple[int, int]]:
-    """All interacting site pairs (a, b), a < b, each unordered pair once.
+    """All interacting site pairs (a, b), a < b, each unordered pair once,
+    in ascending (a, b) order.
 
     A pair interacts iff its cyclic distance is in 1..r_eff.  When N is
-    even and r_eff = N/2 the antipodal pairs appear once, not twice.
+    even and r_eff = N/2 the antipodal pairs appear once, not twice.  The
+    partners b > a of site a form two ranges, b - a in 1..r_eff and
+    N - b + a in 1..r_eff, the second starting past the first, so the pairs
+    come out in order and unique: no set is built and nothing is sorted.
     """
     n, r_eff = params.n, params.r_eff
-    seen = set()
-    for d in range(1, r_eff + 1):
-        for j in range(n):
-            a, b = j, (j + d) % n
-            seen.add((min(a, b), max(a, b)))
-    return sorted(seen)
+    pairs = []
+    for a in range(n):
+        pairs += zip(repeat(a), range(a + 1, min(n, a + r_eff + 1)))
+        pairs += zip(repeat(a), range(max(a + r_eff + 1, a + n - r_eff), n))
+    return pairs
 
 
 def triple_offsets(params: ModelParams) -> list[tuple[int, int, int]]:

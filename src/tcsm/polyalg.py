@@ -19,7 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, neg
 from typing import Iterable, Iterator
 
 
@@ -36,13 +37,29 @@ def _grlex_key(exps: tuple[int, ...]):
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial over Fraction, fixed number of variables."""
+    """Sparse Laurent polynomial over Fraction, fixed number of variables.
+
+    Invariant: `terms` never holds a zero coefficient.  The constructor
+    establishes it by copying and filtering its argument.  `__neg__`,
+    `scale` by a nonzero value, `invert_vars` and `shift_all` are
+    bijections on terms that keep every coefficient nonzero, so they rely on
+    the invariant of their input instead of filtering again, and build their
+    result through `_wrap`, which takes the dict as it is.
+    """
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[tuple[int, ...], Fraction] | None = None):
         self.nvars = nvars
         self.terms = {e: c for e, c in (terms or {}).items() if c}
+
+    @classmethod
+    def _wrap(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "LaurentPoly":
+        """A polynomial that owns `terms`, which must hold no zero coefficient."""
+        p = cls.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -83,7 +100,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._wrap(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)
@@ -98,7 +115,7 @@ class LaurentPoly:
         c0 = Fraction(value)
         if not c0:
             return LaurentPoly.zero(self.nvars)
-        return LaurentPoly(self.nvars, {e: c * c0 for e, c in self.terms.items()})
+        return LaurentPoly._wrap(self.nvars, {e: c * c0 for e, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -119,7 +136,7 @@ class LaurentPoly:
     # -- structure queries --------------------------------------------
     def degree(self) -> int | None:
         """Common total degree if homogeneous, else None; 0 for the zero poly."""
-        degs = {sum(e) for e in self.terms}
+        degs = set(map(sum, self.terms))
         if not degs:
             return 0
         if len(degs) == 1:
@@ -127,18 +144,22 @@ class LaurentPoly:
         return None
 
     def min_exponent(self) -> int:
-        return min((min(e) for e in self.terms), default=0)
+        return min(map(min, self.terms), default=0)
 
     # -- substitution -------------------------------------------------
     def invert_vars(self) -> "LaurentPoly":
         """Substitute z_i -> 1/z_i for every variable."""
-        return LaurentPoly(self.nvars, {tuple(-x for x in e): c for e, c in self.terms.items()})
+        return LaurentPoly._wrap(
+            self.nvars, {tuple(map(neg, e)): c for e, c in self.terms.items()}
+        )
 
     def shift_all(self, q: int) -> "LaurentPoly":
         """Multiply by (prod z_i)^q."""
         if q == 0:
             return self
-        return LaurentPoly(self.nvars, {tuple(x + q for x in e): c for e, c in self.terms.items()})
+        return LaurentPoly._wrap(
+            self.nvars, {tuple(map(add, e, repeat(q))): c for e, c in self.terms.items()}
+        )
 
     # -- serialization ------------------------------------------------
     def canonical(self) -> str:

@@ -37,6 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import gcd, lcm, pi
 from operator import itemgetter, mul
 
@@ -125,7 +126,7 @@ def _apply_ints(op: H1Operator, p: LaurentPoly, beta):
     # base > 2 span, the range of s = e_a + e_b, so that no two of `_drift`'s
     # groups share a key
     base = 2 * (max(map(max, reps)) - lo + 1)
-    place = [base**j for j in range(n)]
+    place = list(accumulate(repeat(base, n - 1), mul, initial=1))  # base**j
     offset = lo * sum(place)
     low, high = base ** (n - g), base**g
     rep: dict[int, int] = {}  # code -> the representative of its orbit

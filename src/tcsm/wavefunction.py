@@ -214,22 +214,29 @@ def _constant(params: ModelParams) -> float:
     return params.n / (1.0 + params.drift_weight * params.beta)
 
 
+# the unboosted terms (coeff, a, b, m) of each named kind, as `_terms` returns
+# them; a coeff of None stands for -c
+_TERMS = {
+    GROUND: ((1.0, 0, 0, 0),),
+    E1: ((1.0, 1, 0, 0),),
+    ENM1: ((1.0, 0, 1, 1),),
+    EN: ((1.0, 0, 0, 1),),
+    COMBO: ((1.0, 1, 1, 1), (None, 0, 0, 1)),
+    NONDEG_ZERO: ((1.0, 1, 1, 0), (None, 0, 0, 0)),
+    COS_SUM: ((0.5, 1, 0, 0), (0.5, 0, 1, 0)),
+    SIN_SUM: ((-0.5j, 1, 0, 0), (0.5j, 0, 1, 0)),
+}
+
+
 def _terms(spec: StateSpec, c: float) -> list[tuple[complex, int, int, int]] | None:
     """phi as terms (coeff, a, b, m), each coeff * e1^a * conj(e1)^b * G^m with
     a, b in {0, 1}: e1 = sum z, conj(e1) = sum 1/z on |z| = 1 and G = prod z.
     A boost by q adds q to every m.  None for 'poly'."""
     base, q = _unboost(spec)
-    table = {
-        GROUND: [(1.0, 0, 0, 0)],
-        E1: [(1.0, 1, 0, 0)],
-        ENM1: [(1.0, 0, 1, 1)],
-        EN: [(1.0, 0, 0, 1)],
-        COMBO: [(1.0, 1, 1, 1), (-c, 0, 0, 1)],
-        NONDEG_ZERO: [(1.0, 1, 1, 0), (-c, 0, 0, 0)],
-        COS_SUM: [(0.5, 1, 0, 0), (0.5, 0, 1, 0)],
-        SIN_SUM: [(-0.5j, 1, 0, 0), (0.5j, 0, 1, 0)],
-    }.get(base.kind)
-    return None if table is None else [(k, a, b, m + q) for k, a, b, m in table]
+    table = _TERMS.get(base.kind)
+    if table is None:
+        return None
+    return [(-c if k is None else k, a, b, m + q) for k, a, b, m in table]
 
 
 def phi_moduli(spec: StateSpec, params: ModelParams) -> tuple[float, int]:

@@ -17,7 +17,7 @@ from tcsm.model import (
     triple_offsets,
 )
 
-from references import cyclic_distance
+from references import cyclic_distance, sorted_set_interaction_pairs
 
 
 def test_derive_params_examples():
@@ -86,6 +86,17 @@ def test_pair_count_formula_all_sizes():
                 assert count == n * p.r_eff
             else:
                 assert n % 2 == 0 and count == n * (n // 2 - 1) + n // 2
+
+
+def test_pairs_match_set_and_sort_reference():
+    # r up to N covers the full regime (r >= N // 2) and, at even N, its antipodal row
+    for n in range(3, 65):
+        reference = {}  # r_eff -> pairs: every r >= N/2 clamps to the same list
+        for r in range(1, n + 1):
+            p = derive_params(n, r)
+            if p.r_eff not in reference:
+                reference[p.r_eff] = sorted_set_interaction_pairs(p)
+            assert interaction_pairs(p) == reference[p.r_eff], (n, r)
 
 
 def test_triples_examples():

@@ -110,6 +110,28 @@ def test_ring_axioms(p, q, r):
         assert all(result.terms.values())
 
 
+@given(polys(), coeffs.filter(bool))
+@settings(max_examples=60, deadline=None)
+def test_term_bijections_match_comprehensions(p, c):
+    # these skip the constructor's copy and zero filter, relying on p holding no zero
+    def rebuilt(terms):
+        return LaurentPoly(NV, terms)
+
+    expected = [
+        (p.invert_vars(), rebuilt({tuple(-x for x in e): v for e, v in p.terms.items()})),
+        (-p, rebuilt({e: -v for e, v in p.terms.items()})),
+        (p.scale(c), rebuilt({e: v * c for e, v in p.terms.items()})),
+    ]
+    expected += [
+        (p.shift_all(q), rebuilt({tuple(x + q for x in e): v for e, v in p.terms.items()}))
+        for q in range(-2, 3)
+    ]
+    for got, want in expected:
+        assert got == want
+        assert all(got.terms.values())
+    assert p.scale(0) == LaurentPoly.zero(NV) and not p.scale(0).terms
+
+
 # -- Euler operator --------------------------------------------------------
 
 def test_apply_d_examples():
