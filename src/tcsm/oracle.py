@@ -60,6 +60,10 @@ ROUNDING_C = 64.0
 # rounding level; then the redraws keep failing, and this bound turns the hang
 # into a SamplingError.
 REDRAW_ROUNDS = 8
+# Pair entries r_eff * N * width in one block of `local_energy_batch`: 2 MiB
+# of distance rows, about one core's L2 cache.  The largest batch of the
+# small-N checks, 4 * 12 * 5000 entries, still runs as one block.
+BLOCK_ENTRIES = 2**18
 
 
 class SamplingError(RuntimeError):
@@ -97,11 +101,40 @@ def potential_energy(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 
 def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
-    """((H psi)/psi as complex, node mask, M) for psi = psi0 * phi, where
-    eps * M scales each sample's rounding error (`verify_eigenstate`).
+    """((H psi)/psi as complex, node mask, M) for psi = psi0 * phi at positions
+    x of shape (..., N), each of shape (...), where eps * M scales each
+    sample's rounding error (`verify_eigenstate`).
 
-    One pass.  The distance rows give the real part -Delta psi0 / (2 psi0)
-    + V in one per-site buffer, with at most three blocks beside them: the
+    Every quantity is per sample, so the batch is evaluated in blocks of
+    columns with at most BLOCK_ENTRIES pair entries r_eff * N * width each
+    (`_local_energy_block`), into outputs allocated once: memory is
+    O(BLOCK_ENTRIES + N * count), not O(r_eff * N * count).  A batch that
+    fits in one block is evaluated as it is.  No block has one column: at
+    width 1 numpy reduces over sites pairwise rather than row by row, and
+    the outputs would depend on the blocking.  So the width is at least 2,
+    and a last block of one column joins the block before it.
+    """
+    xs = _sites_first(x)
+    count = xs[0].size
+    width = max(2, BLOCK_ENTRIES // (params.r_eff * params.n))
+    if count <= width:
+        return _local_energy_block(params, spec, xs)
+    shape = xs.shape[1:]
+    xs = xs.reshape(params.n, count)
+    energies = np.empty(count, dtype=complex)
+    nodes = np.empty(count, dtype=bool)
+    mag = np.empty(count)
+    for lo in range(0, count - 1, width):
+        hi = lo + width if lo + width < count - 1 else count
+        energies[lo:hi], nodes[lo:hi], mag[lo:hi] = _local_energy_block(params, spec, xs[:, lo:hi])
+    return energies.reshape(shape), nodes.reshape(shape), mag.reshape(shape)
+
+
+def _local_energy_block(params: ModelParams, spec: StateSpec, xs: np.ndarray):
+    """`local_energy_batch` at sites-first positions xs of shape (N, ...), in one pass.
+
+    The distance rows give the real part -Delta psi0 / (2 psi0)
+    + V in one per-site buffer, with at most three (N, ...) buffers beside them: the
     three-body -G (pi/L)^2 cot*cot, then G (pi/L)^2 csc^2 at the site
     holding a pair (psi0's Laplacian puts -beta (pi/L)^2 csc^2 at both
     ends, and g + beta = G), then -g0^2 / 2, g0 the gradient of log psi0.
@@ -117,7 +150,6 @@ def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
     sum_m |g0_m| <= sqrt(N sum_m g0_m^2) <= sqrt(2 N M0), and dividing by
     phi multiplies them by (1 + P / |phi|) / |phi|.
     """
-    xs = _sites_first(x)
     cot = pair_cot(params, xs)
     gu = params.big_g * (math.pi / params.length) ** 2
     real = _three_body_by_site(params, cot)

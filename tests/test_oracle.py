@@ -208,6 +208,46 @@ def test_local_energy_peak_memory():
     assert peak < (p.r_eff + 4) * n * count * 8, peak / (n * count * 8)
 
 
+@pytest.mark.parametrize("n, r, regime", [(9, 3, "truncated"), (8, 4, "full")])
+def test_blocked_local_energy_equals_one_block(monkeypatch, n, r, regime):
+    # a budget of 5 columns: 36 samples end in a ragged block of 1, which
+    # joins the block before it, and 37 in a ragged block of 2
+    p = derive_params(n, r, beta=2.5)
+    assert p.regime == regime
+    x = sample_positions(p, 37, seed=n)
+    grid = x[:36].reshape(4, 9, n)
+    for spec in differential_states(n):
+        for batch in (x[:36], x, grid):
+            monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 10**9)
+            whole = local_energy_batch(p, spec, batch)
+            monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 5 * p.r_eff * n)
+            for got, want in zip(local_energy_batch(p, spec, batch), whole):
+                assert got.dtype == want.dtype and got.shape == batch.shape[:-1]
+                np.testing.assert_array_equal(got, want, err_msg=spec.label())
+        # a single configuration and an empty batch fit in one block
+        assert [np.shape(a) for a in local_energy_batch(p, spec, x[0])] == [()] * 3
+        assert [np.shape(a) for a in local_energy_batch(p, spec, x[:0])] == [(0,)] * 3
+
+
+def test_local_energy_memory_is_flat_in_count():
+    # blocks of BLOCK_ENTRIES pair entries: from 4,000 to 40,000 samples the
+    # peak grows by the outputs, 16 + 1 + 8 bytes per sample, and 64 KiB at
+    # most for Python's own objects, where the whole (r_eff, N, count)
+    # array of rows would take 160 MB at 40,000
+    p = derive_params(64, 8, beta=1.0)
+    peaks = []
+    for count in (4000, 40000):
+        x = sample_positions(p, count, seed=2)
+        local_energy_batch(p, StateSpec(COMBO), x[:10])
+        tracemalloc.start()
+        try:
+            local_energy_batch(p, StateSpec(COMBO), x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 25 * 36000 + 2**16, peaks
+
+
 def test_three_body_grouping_matches_offset_loop():
     # integer rows make both sums exact, so any missing or extra (s, t) shows;
     # r runs past N/2, where the range of t is empty for every s
