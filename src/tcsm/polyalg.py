@@ -4,9 +4,8 @@ Coefficients are exact rationals (`Fraction`); the constructor is the one
 place that drops zero coefficients.  `spectral.apply_H1` uses none of the
 ring operations: it forms D_j, the product by z_a + z_b and the quotient by
 z_a - z_b itself, in integers.  The generic ring operations (`__mul__`,
-`__add__`, ...) and `exact_divide` are the reference for it in the tests;
-the degree-block pencils are built from their integer closed form over the
-orbit-sum bases here, each partition's necklaces generated directly.
+`__add__`, ...) and `exact_divide` are the reference for it in the tests.
+The orbit-sum bases come from one walk over each partition's necklaces.
 
 Exponent vectors are plain int tuples; negative exponents are allowed.
 Serialization uses a canonical graded-lexicographic term order so goldens
@@ -40,11 +39,9 @@ class LaurentPoly:
     """Sparse Laurent polynomial over Fraction, fixed number of variables.
 
     Invariant: `terms` never holds a zero coefficient.  The constructor
-    establishes it by copying and filtering its argument.  `__neg__`,
-    `scale` by a nonzero value, `invert_vars` and `shift_all` are
-    bijections on terms that keep every coefficient nonzero, so they rely on
-    the invariant of their input instead of filtering again, and build their
-    result through `_wrap`, which takes the dict as it is.
+    filters its argument; `__neg__`, `scale` by a nonzero value,
+    `invert_vars` and `shift_all` keep every coefficient nonzero, so they
+    build their result through `_wrap`, which takes the dict as it is.
     """
 
     __slots__ = ("nvars", "terms")
@@ -255,34 +252,26 @@ def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[
             yield (first,) + tail
 
 
-def _distinct_permutations(counts: dict[int, int], length: int) -> Iterator[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for v in list(counts):
-        if counts[v]:
-            counts[v] -= 1
-            for tail in _distinct_permutations(counts, length - 1):
-                yield (v,) + tail
-            counts[v] += 1
-
-
-def _arrangements(partition: tuple[int, ...], nvars: int) -> Iterator[tuple[int, ...]]:
-    """Distinct arrangements of the zero-padded partition, lex descending."""
-    counts: dict[int, int] = {}
-    for v in list(partition) + [0] * (nvars - len(partition)):
-        counts[v] = counts.get(v, 0) + 1
-    return _distinct_permutations(counts, nvars)
-
-
 def monomial_symmetric(partition: tuple[int, ...], nvars: int) -> LaurentPoly:
-    """Orbit sum of z^partition under all variable permutations, coefficient 1."""
-    return LaurentPoly(nvars, {e: ONE for e in _arrangements(partition, nvars)})
+    """Orbit sum of z^partition under all variable permutations, coefficient 1:
+    every arrangement is a rotation of one of its necklaces."""
+    return LaurentPoly(
+        nvars, {rho[i:] + rho[:i]: ONE for rho in necklaces(partition, nvars) for i in range(nvars)}
+    )
 
 
 def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
-    """Necklaces whose content is the zero-padded partition, lex descending,
-    each the lexicographic max of its rotations.
+    """The words of `_necklace_walk`, as tuples."""
+    if len(partition) > nvars:
+        raise ValueError(f"partition {partition} has more than {nvars} parts")
+    return [tuple(word) for _, word in _necklace_walk(partition, nvars)]
+
+
+def _necklace_walk(partition: tuple[int, ...], nvars: int) -> Iterator[tuple[int, list[int]]]:
+    """(t, word) for each necklace of the zero-padded partition, lex
+    descending, each the lexicographic max of its rotations: word is the live
+    list, t the first position where it differs from the last yield (0 at
+    the first).
 
     Sawada's fixed-content prenecklace recursion (J. Sawada, Theoret.
     Comput. Sci. 301, 2003) with the alphabet reversed, run as a loop so that
@@ -291,10 +280,8 @@ def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
     its count lasts; a full word is a necklace when its period divides N.
     No rotation is built and nothing else is filtered.
     """
-    if len(partition) > nvars:
-        raise ValueError(f"partition {partition} has more than {nvars} parts")
     if nvars == 0:
-        return []
+        return
     counts = Counter(partition)
     counts[0] += nvars - len(partition)
     values = sorted((v for v in counts if counts[v]), reverse=True)
@@ -303,10 +290,11 @@ def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
     a = [0] * n  # the word, as ranks
     word = [values[0]] * n
     if n == 1:
-        return [tuple(word)]
+        yield 0, word
+        return
     period = [1] * (n + 1)  # period[t]: period of a[:t]
     left[0] -= 1  # a[0] is the largest value
-    out = []
+    low = 0  # least position backed up to since the last yield
     t, j = 1, 0  # place at position t a rank >= j
     while True:
         while j < k and not left[j]:
@@ -314,7 +302,9 @@ def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
         if j == k:  # position t is exhausted: back up to t - 1
             t -= 1
             if t == 0:
-                return out
+                return
+            if t < low:
+                low = t
             j = a[t]
             left[j] += 1
             j += 1
@@ -324,7 +314,8 @@ def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
         p = period[t] if j == a[t - period[t]] else t + 1
         if t + 1 == n:  # one symbol was left, so this is the only word here
             if n % p == 0:
-                out.append(tuple(word))
+                yield low, word
+                low = n
             j = k
             continue
         left[j] -= 1
@@ -334,11 +325,7 @@ def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
 
 
 def cyclic_orbit_sum(rep: tuple[int, ...]) -> LaurentPoly:
-    n = len(rep)
-    terms = {}
-    for i in range(n):
-        terms[rep[i:] + rep[:i]] = ONE
-    return LaurentPoly(n, terms)
+    return LaurentPoly(len(rep), {rep[i:] + rep[:i]: ONE for i in range(len(rep))})
 
 
 SYMMETRIC = "symmetric"

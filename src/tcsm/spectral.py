@@ -15,20 +15,14 @@ symmetric polynomials only into cyclic-invariant ones, so each degree
 block is a rectangular pencil (A0 + beta A1) v = lambda E v with E the
 exact embedding of the symmetric basis into the cyclic-invariant basis.
 `build_pencil` stores each partition's distinct sparse integer A1 rows with
-their necklace counts, read off the basis labels.  Each block is triangular
-in dominance order, so `solve_pencil` solves it exactly, with no threshold.
-`_apply_ints` applies the operator to one polynomial in integers.  The
-operator commutes with every rotation z_j -> z_(j+g) that maps the pair set
-to itself, so on the group G of those that also fix p the image is
-G-invariant, and it is computed at one packed code per G-orbit: each drift
-pair's quotient by z_a - z_b is read off suffix sums in one pass over the
-terms, for one pair per G-orbit of pairs (r_eff pairs on a rotation-invariant
-state, not N r_eff).  The trivial group, g = N, is the per-pair computation.
-The exact eigen, parity and boost checks compare that image with p on the
-representatives, by cross-multiplication, and build no Fraction but
-lambda.  `apply_H1` is the Fraction view of the same image, each
-representative spread over its orbit, as a LaurentPoly; the generic Laurent
-ring operations and `polyalg.exact_divide` are its reference in the tests.
+their necklace counts, each packed into one int along the necklace walk.
+Each block is triangular in dominance order, so `solve_pencil` solves it
+exactly, with no threshold.  `_apply_ints` applies the operator to one
+polynomial in integers, at one packed code per orbit of the rotations that
+fix both p and the pair set.  The exact eigen, parity and boost checks
+compare that image with p on the representatives, by cross-multiplication.
+`apply_H1` is its Fraction view, as a LaurentPoly; the generic Laurent ring
+operations and `polyalg.exact_divide` are its reference in the tests.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, combinations_with_replacement, repeat
 from math import gcd, lcm, pi
 from operator import itemgetter, mul
 
@@ -47,8 +41,8 @@ from .polyalg import (
     BasisSet,
     DivisionError,
     LaurentPoly,
+    _necklace_walk,
     basis,
-    necklaces,
 )
 
 
@@ -68,8 +62,7 @@ class H1Operator:
 
 def apply_H1(op: H1Operator, p: LaurentPoly, beta) -> LaurentPoly:
     """Apply the transformed operator exactly, at a given beta: the Fraction
-    view of `_apply_ints`, which computes the image in integers on orbit
-    representatives; each representative's value is spread over its orbit.
+    view of `_apply_ints`, each representative spread over its orbit.
 
     For beta != 0, divisibility by (z_a - z_b) is checked, not assumed
     (DivisionError otherwise).  It holds exactly when, in every group of
@@ -307,7 +300,12 @@ class PencilBlock:
     the cyclic-invariant basis of `dim_cyc` necklaces; E is the embedding.
     A necklace's row of E (of A0) is 1 (sum_j lambda_j^2) at its partition
     and 0 elsewhere; `rows[k]` holds partition k's distinct integer A1 rows,
-    as column -> value, each with its number of necklaces."""
+    as column -> value, each with its number of necklaces.
+
+    Each entry lies in 1..2dP, P the number of drift pairs: a pair's run
+    meets a column at most once, with weight in 1..2 (rho_a + rho_b) <= 2d.
+    So a row packs into one int, column j in bits [Bj, Bj + B), 2^B > 2dP,
+    and sums of packed runs never carry: equal sums mean equal rows."""
 
     degree: int
     sym_basis: BasisSet
@@ -319,19 +317,19 @@ class PencilBlock:
         return len(self.sym_basis)
 
 
-def _split_run(lam: tuple[int, ...], low: int, high: int, index: dict) -> list[tuple[int, int]]:
-    """(column, weight) of each split of a pair (low, high) in partition lam;
-    lam and the partitions that index maps are padded with zeros to N parts."""
+def _split_run(lam: tuple[int, ...], low: int, high: int, index: dict, bits: int) -> int:
+    """The packed run of a pair (low, high) in lam; lam and the partitions
+    that index maps are padded with zeros to N parts."""
     rest = list(lam)
     rest.remove(low)
     rest.remove(high)
     total = low + high
-    return [
-        (index[tuple(sorted(rest + [total - lo, lo], reverse=True))],
-         (total - 2 * lo) * (1 if lo == low else 2))
+    return sum(
+        (total - 2 * lo) * (1 if lo == low else 2)
+        << bits * index[tuple(sorted(rest + [total - lo, lo], reverse=True))]
         for lo in range(low + 1)
         if 2 * lo != total
-    ]
+    )
 
 
 def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
@@ -344,38 +342,53 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     with n <= min(rho_a, rho_b), where w is 1 at the ends of the run
     (n = min(rho_a, rho_b)) and 2 inside it; the column is the partition of
     rho with (rho_a, rho_b) replaced by (m, n).  That run depends only on
-    rho's partition and the pair's two values, so a row depends only on the
-    partition and the multiset of pair values {rho_a, rho_b}: each distinct
-    row is counted, and built once.  Each symmetric element is a sum of flat
-    cyclic orbit sums, so E and A0 follow from each necklace's partition.
+    rho's partition and the pair's two values; it is packed into one int (see
+    `PencilBlock`).  Along `_necklace_walk` a row is the prefix sum over the
+    positions b of the runs of the pairs (a < b, b) ending there, recomputed
+    only from the necklace's first change on.  Each distinct row is counted
+    and unpacked once.  Each symmetric element is a sum of flat cyclic orbit
+    sums, so E and A0 follow from each necklace's partition.
     """
     if degree < 1:
         raise ParameterDomainError("degree must be >= 1")
-    n, pairs, width = op.params.n, op.drift_pairs, degree + 1
+    n, width = op.params.n, degree + 1
     sym = basis(SYMMETRIC, n, degree)
     padded = [lam + (0,) * (n - len(lam)) for lam in sym.labels]  # N parts each
     index = {lam: j for j, lam in enumerate(padded)}
-    # an unordered pair of values {x, y}, x <= y, as the one int x * width + y
-    code = [[min(x, y) * width + max(x, y) for y in range(width)] for x in range(width)]
-    keys = Counter(
-        (k, tuple(sorted([code[rho[a]][rho[b]] for a, b in pairs])))
-        for k, lam in enumerate(sym.labels)
-        for rho in necklaces(lam, n)
-    )
-    runs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    rows: list[list[tuple[dict[int, int], int]]] = [[] for _ in sym.labels]
-    for (k, codes), count in keys.items():
-        row: dict[int, int] = {}
-        for c in codes:
-            run = runs.get((k, c))
-            if run is None:
-                run = runs[k, c] = _split_run(padded[k], *divmod(c, width), index)
-            for j, w in run:
-                row[j] = row.get(j, 0) + w
-        rows[k].append((row, count))
-    return PencilBlock(
-        degree=degree, sym_basis=sym, dim_cyc=sum(keys.values()), rows=tuple(map(tuple, rows))
-    )
+    bits = (2 * degree * len(op.drift_pairs)).bit_length()  # B
+    mask = (1 << bits) - 1
+    ending = [[] for _ in range(n)]  # ending[b]: each pair's a < b
+    for a, b in op.drift_pairs:
+        ending[max(a, b)].append(min(a, b))
+    acc = [0] * (n + 1)  # acc[b]: runs of the pairs ending before b
+    rows = []
+    for lam in padded:
+        # run[x][y]: the packed run of a pair of values x, y in lam
+        run = [[0] * width for _ in range(width)]
+        for x, y in combinations_with_replacement(sorted(set(lam)), 2):
+            if x < y or lam.count(x) > 1:
+                run[x][y] = run[y][x] = _split_run(lam, x, y, index, bits)
+        sums = {}  # packed row -> its necklaces
+        for t, word in _necklace_walk(lam, n):
+            s = acc[t]
+            for b in range(t, n):
+                at_b = run[word[b]]
+                for a in ending[b]:
+                    s += at_b[word[a]]
+                acc[b + 1] = s
+            sums[s] = sums.get(s, 0) + 1
+        unpacked = []
+        for packed, m in sums.items():
+            row, j = {}, 0
+            while packed:
+                if packed & mask:
+                    row[j] = packed & mask
+                packed >>= bits
+                j += 1
+            unpacked.append((row, m))
+        rows.append(tuple(unpacked))
+    dim_cyc = sum(m for stored in rows for _, m in stored)
+    return PencilBlock(degree=degree, sym_basis=sym, dim_cyc=dim_cyc, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

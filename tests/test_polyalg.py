@@ -12,7 +12,7 @@ from tcsm.polyalg import (
     SYMMETRIC,
     DivisionError,
     LaurentPoly,
-    _arrangements,
+    _necklace_walk,
     basis,
     elementary_symmetric,
     exact_divide,
@@ -23,7 +23,7 @@ from tcsm.polyalg import (
     project,
 )
 
-from references import apply_D
+from references import apply_D, arrangements
 
 NV = 3
 
@@ -279,7 +279,7 @@ def filtered_cyclic_labels(n, d):
     return [
         e
         for lam in sorted(partitions(d, n), reverse=True)
-        for e in ((lam[:1] or (0,)) + tail for tail in _arrangements(lam[1:], n - 1))
+        for e in ((lam[:1] or (0,)) + tail for tail in arrangements(lam[1:], n - 1))
         if e == cyclic_representative(e)
     ]
 
@@ -319,6 +319,38 @@ def test_necklaces_at_large_n():
     assert len(got) == n - 1 == fixed_content_count((2,) + (1,) * (n - 2), n)
     assert got[0] == (2,) + (1,) * (n - 2) + (0,) and got[-1] == (2, 0) + (1,) * (n - 2)
     assert necklaces((1,) * n, n) == [(1,) * n]
+
+
+def _walk_contents():
+    """Every partition of d <= 8 at N <= 9, and contents with one value, such
+    as (3, 3, 3) at N = 3, or periodic, such as (1, 1) at N = 4, whose
+    necklace (1, 0, 1, 0) has period 2."""
+    yield from ((lam, n) for n in range(1, 10) for d in range(9) for lam in partitions(d, n))
+    yield from [((3, 3, 3), 3), ((1, 1), 4), ((2, 2, 2), 6), ((1,), 1), ((5,), 2), ((1, 1), 2)]
+
+
+def test_necklace_walk_reports_first_change():
+    # the words are `necklaces`, lex descending, every rotation class of the
+    # content once; t is where each word first differs from the one before
+    for lam, n in _walk_contents():
+        walk = [(t, tuple(word)) for t, word in _necklace_walk(lam, n)]
+        words = [word for _, word in walk]
+        assert words == necklaces(lam, n)
+        assert set(words) == {cyclic_representative(e) for e in arrangements(lam, n)}
+        assert all(a > b for a, b in zip(words, words[1:]))  # strictly descending
+        previous = None
+        for t, word in walk:
+            if previous is None:
+                assert t == 0
+            else:
+                assert t == next(j for j, (x, y) in enumerate(zip(word, previous)) if x != y)
+            previous = word
+
+
+def test_monomial_symmetric_matches_arrangements():
+    # the necklaces' rotations are every arrangement of the content, once
+    for lam, n in _walk_contents():
+        assert set(monomial_symmetric(lam, n).terms) == set(arrangements(lam, n))
 
 
 def test_necklaces_reject_too_many_parts():

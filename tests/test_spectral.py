@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -41,7 +42,7 @@ from tcsm.spectral import (
 )
 from tcsm.wavefunction import POLY, StateSpec
 
-from references import apply_D
+from references import apply_D, sorted_key_build_pencil
 
 GOLDEN = Path(__file__).parent / "goldens" / "spectrum_n6_r2_beta1.json"
 
@@ -488,6 +489,53 @@ def test_pencil_rows(n):
                 assert all(max(row) <= k for row, _ in rows)
                 assert sum(count * row.get(k, 0) for row, count in rows) == own[k]
                 assert len({frozenset(row.items()) for row, _ in rows}) == len(rows)
+
+
+# N 3-8, every r (r_eff saturates in the full regime), d <= 7: 189 blocks
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pencil_matches_sorted_key_reference(n):
+    # the packed rows carried along the necklace walk against one sorted key
+    # of pair codes per necklace: the same rows with the same necklace
+    # counts, and the same levels, eigenvectors and spurious values
+    for r in range(1, n):
+        op = operator(n, r)
+        for degree in range(1, 8):
+            block, ref = build_pencil(op, degree), sorted_key_build_pencil(op, degree)
+            assert block.dim_cyc == ref.dim_cyc
+            assert _stored_rows(block) == _stored_rows(ref)
+            for beta in (ONE, Fraction(7, 3), Fraction(2, 5)):
+                assert solve_pencil(block, beta) == solve_pencil(ref, beta)
+
+
+@pytest.mark.parametrize(
+    "n, r, degree",
+    [(n, r, d) for n in range(3, 9) for r in sorted({1, n // 2 + 1}) for d in range(1, 9)]
+    # high degrees, where the runs are longest: two full-regime blocks, one truncated
+    + [(6, 3, 18), (8, 4, 16), (7, 2, 14)],
+)
+def test_pencil_entries_fit_their_digits(n, r, degree):
+    # every A1 entry of the unpacked reference lies in 1..2dP, P the pair
+    # count, so packed rows of (2dP).bit_length() bits a column never carry
+    # into the next column, and the packed build gives the same rows
+    op = operator(n, r)
+    bound = 2 * degree * len(op.drift_pairs)
+    ref = sorted_key_build_pencil(op, degree)
+    assert all(1 <= v <= bound for rows in ref.rows for row, _ in rows for v in row.values())
+    assert _stored_rows(build_pencil(op, degree)) == _stored_rows(ref)
+
+
+def test_pencil_memory_is_bounded_by_its_rows():
+    # (9,3,9): 2,704 necklaces, 344 distinct rows.  The walk keeps one word and
+    # one list of prefix sums, not a key per necklace: the sorted-key
+    # reference peaks at about 0.3 MiB here, the walk at about 0.1 MiB
+    op = operator(9, 3)
+    tracemalloc.start()
+    try:
+        build_pencil(op, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * 2**20
 
 
 def test_pencil_d1():
