@@ -1,12 +1,15 @@
-"""Dual-number evaluation of wavefunction derivatives.
+"""Dual-number evaluation of the ground-state derivatives.
 
-Independent second path for every derivative the analytic formulas in
-`wavefunction` produce.  A truncated second-order dual number carries
-(value, first derivative, second derivative) with respect to one seed
-variable, so derivatives are roundoff-exact with no step-size tuning and
-share nothing with the hand-derived formulas they cross-check.  Each
-coordinate is seeded in turn; dual components are numpy arrays, so a
-whole batch of configurations is differentiated per seed.
+Independent second path for d/dx_m log psi0 and d^2/dx_m^2 log psi0, which
+the analytic formulas in `wavefunction` also produce.  A truncated
+second-order dual number carries (value, first derivative, second
+derivative) with respect to one seed variable, so derivatives are
+roundoff-exact with no step-size tuning and share nothing with the
+hand-derived formulas they cross-check.  A pair's term depends only on
+x_a - x_b, so one seed per pair gives the derivatives at both ends: the
+pairs of one cyclic distance are seeded together, one batch per distance,
+and dual components are numpy arrays over the whole batch of
+configurations.
 """
 
 from __future__ import annotations
@@ -16,19 +19,7 @@ import math
 import numpy as np
 
 from .model import ModelParams, interaction_pairs
-from .wavefunction import (
-    BOOSTED,
-    COMBO,
-    COS_SUM,
-    E1,
-    EN,
-    ENM1,
-    GROUND,
-    NONDEG_ZERO,
-    POLY,
-    SIN_SUM,
-    StateSpec,
-)
+from .wavefunction import _sites_first
 
 
 class Dual2:
@@ -102,10 +93,6 @@ class Dual2:
             out = out * self
         return out
 
-    def __mod__(self, modulus):
-        # shifting by a constant leaves derivatives untouched
-        return Dual2(self.v % modulus, self.d1, self.d2)
-
     def __repr__(self):
         return f"Dual2({self.v!r}, {self.d1!r}, {self.d2!r})"
 
@@ -116,9 +103,14 @@ def _chain(x, f, fp, fpp):
 
 
 def dsin(x):
+    """sin and cos from the half-angle tangent t = tan(x / 2):
+    sin = 2t / (1 + t^2), cos = (1 - t^2) / (1 + t^2).  One tan costs less
+    than a sin and a cos."""
     d = Dual2.lift(x)
-    s = np.sin(d.v)
-    return _chain(d, s, np.cos(d.v), -s)
+    t = np.tan(0.5 * d.v)
+    u = 1.0 / (1.0 + t * t)
+    s = 2.0 * t * u
+    return _chain(d, s, (1.0 - t * t) * u, -s)
 
 
 def dlog(x):
@@ -126,94 +118,39 @@ def dlog(x):
     return _chain(d, np.log(d.v), 1.0 / d.v, -1.0 / (d.v * d.v))
 
 
-def dexp(x):
-    d = Dual2.lift(x)
-    e = np.exp(d.v)
-    return _chain(d, e, e, e)
-
-
 def _log_pair_term(params: ModelParams, xa, xb):
-    theta = ((xa - xb) % params.length) * (math.pi / params.length)
-    return params.beta * dlog(dsin(theta))
+    """beta log|sin(pi (x_a - x_b) / L)| as (beta / 2) log sin^2, from the
+    raw difference: the term is pi-periodic in the angle, so no wrap into
+    [0, L) is needed and none costs precision."""
+    s = dsin((xa - xb) * (math.pi / params.length))
+    return (0.5 * params.beta) * dlog(s * s)
 
 
 def dual_grad_and_second_log_psi0(params: ModelParams, x: np.ndarray):
-    """(d/dx_m log psi0, d^2/dx_m^2 log psi0), each shape (..., N)."""
+    """(d/dx_m log psi0, d^2/dx_m^2 log psi0), each shape (..., N).
+
+    The pairs of cyclic distance d are written (first, last) with last =
+    first + d mod N, so within one distance no site is first twice and none
+    is last twice, and each `+=` at the sites of one distance touches a site
+    once.  Each distance is one batch, sites first (`_sites_first`): the
+    first sites' rows are seeded against the plain rows of the last sites,
+    and as the term depends only on the difference, its derivatives at last
+    are -d1 and d2.
+    """
     n = params.n
-    by_site: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    groups: dict[int, tuple[list[int], list[int]]] = {}
     for a, b in interaction_pairs(params):
-        by_site[a].append((a, b))
-        by_site[b].append((a, b))
-    grad = np.zeros(x.shape, dtype=float)
-    second = np.zeros(x.shape, dtype=float)
-    for m in range(n):
-        xm = Dual2.seed(x[..., m])
-        total = Dual2.lift(np.zeros(x.shape[:-1]))
-        for a, b in by_site[m]:
-            xa = xm if a == m else x[..., a]
-            xb = xm if b == m else x[..., b]
-            total = total + _log_pair_term(params, xa, xb)
-        grad[..., m] = total.d1
-        second[..., m] = total.d2
-    return grad, second
-
-
-def _phi_generic(spec: StateSpec, params: ModelParams, zs: list):
-    """Evaluate phi from a list of z values; entries may be Dual2."""
-    n = params.n
-    if spec.kind == GROUND:
-        return 1.0
-    if spec.kind == E1:
-        return sum(zs[1:], zs[0])
-    if spec.kind == EN:
-        prod = zs[0]
-        for zj in zs[1:]:
-            prod = prod * zj
-        return prod
-    pinv = sum((1.0 / zj for zj in zs[1:]), 1.0 / zs[0])
-    e1 = sum(zs[1:], zs[0])
-    prod = zs[0]
-    for zj in zs[1:]:
-        prod = prod * zj
-    c = n / (1.0 + params.drift_weight * params.beta)
-    if spec.kind == ENM1:
-        return prod * pinv
-    if spec.kind == COMBO:
-        return e1 * (prod * pinv) - c * prod
-    if spec.kind == NONDEG_ZERO:
-        return e1 * pinv - c
-    if spec.kind == COS_SUM:
-        return (e1 + pinv) * 0.5
-    if spec.kind == SIN_SUM:
-        return (e1 - pinv) * (1.0 / 2j)
-    if spec.kind == BOOSTED:
-        return prod**spec.q * _phi_generic(spec.base, params, zs)
-    if spec.kind == POLY:
-        total = 0.0
-        for exps, coeff in spec.poly.terms.items():
-            term = complex(coeff)
-            for zj, e in zip(zs, exps):
-                if e:
-                    term = zj**e * term
-            total = term + total
-        return total
-    raise AssertionError(spec.kind)
-
-
-def dual_phi_eval(spec: StateSpec, params: ModelParams, x: np.ndarray):
-    """(phi, d phi/dx_m, d^2 phi/dx_m^2), derivative arrays shaped (..., N)."""
-    n = params.n
-    w = 2j * math.pi / params.length
-    z_plain = [np.exp(w * x[..., j]) for j in range(n)]
-    phi = None
-    dphi = np.zeros(x.shape, dtype=complex)
-    d2phi = np.zeros(x.shape, dtype=complex)
-    for m in range(n):
-        zs = list(z_plain)
-        zs[m] = dexp(Dual2.seed(x[..., m]) * w)
-        val = Dual2.lift(_phi_generic(spec, params, zs))
-        if phi is None:
-            phi = val.v + np.zeros(x.shape[:-1], dtype=complex)
-        dphi[..., m] = val.d1
-        d2phi[..., m] = val.d2
-    return phi, dphi, d2phi
+        first, last = (a, b) if 2 * (b - a) <= n else (b, a)
+        firsts, lasts = groups.setdefault(min(b - a, n - b + a), ([], []))
+        firsts.append(first)
+        lasts.append(last)
+    xs = _sites_first(x)
+    grad = np.zeros(xs.shape)
+    second = np.zeros(xs.shape)
+    for firsts, lasts in groups.values():
+        term = _log_pair_term(params, Dual2.seed(xs[firsts]), xs[lasts])
+        grad[firsts] += term.d1
+        grad[lasts] -= term.d1
+        second[firsts] += term.d2
+        second[lasts] += term.d2
+    return np.moveaxis(grad, 0, -1), np.moveaxis(second, 0, -1)

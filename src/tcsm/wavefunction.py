@@ -12,9 +12,9 @@ site moves whole rows, and sums over sites are taken pairwise (`_site_sum`).
 Each named excitation factor is one short list of terms
 coeff * e1^a * conj(e1)^b * G^m (`_terms`); `_term_sums` differentiates
 every list over G^m, and the node scale and the degree are read off it.
-Two independent differentiation paths exist for every quantity: the
-analytic formulas here and the second-order dual-number path in
-`dual_paths`.
+Every quantity has a second, independent differentiation path in
+second-order dual numbers: for log psi0 in `dual_paths`, and for phi in the
+test references.
 """
 
 from __future__ import annotations

@@ -4,10 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tcsm.dual_paths import (
-    dual_grad_and_second_log_psi0,
-    dual_phi_eval,
-)
+from tcsm.dual_paths import dual_grad_and_second_log_psi0
 from tcsm.model import derive_params, interaction_pairs, three_body_triples
 from tcsm.oracle import potential_energy, sample_positions, state_degree
 from tcsm.polyalg import LaurentPoly
@@ -32,6 +29,8 @@ from tcsm.wavefunction import (
     phi_eval_batch,
     phi_moduli,
 )
+
+from references import dual_phi_eval, per_coordinate_dual_grad_and_second_log_psi0
 
 L = 2.0 * math.pi
 
@@ -315,6 +314,25 @@ def test_dual_log_psi0_cross_check():
         ld = (gd * gd).sum(axis=-1) + sd.sum(axis=-1)
         assert np.abs(ga - gd).max() / (np.abs(ga).max() + 1.0) < 1e-12
         assert np.abs(la - ld).max() / (np.abs(la).max() + 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n, r", [(3, 1), (5, 1), (6, 2), (6, 3), (8, 4), (9, 3), (9, 4), (12, 4), (13, 6)])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.5])
+def test_dual_log_psi0_matches_per_coordinate_reference(n, r, beta):
+    # one seed per pair and distance against one seed per coordinate; (6,3)
+    # and (8,4) have the antipodal row, and positions shifted by whole periods
+    # give raw differences of several periods, which the pair term takes
+    # without a wrap
+    p = derive_params(n, r, beta=beta)
+    x = sample_positions(p, 60, seed=23)
+    for shift in (0, 3, -2):
+        shifted = x + shift * p.length
+        for batch in (shifted[7], shifted, shifted[:6].reshape(2, 3, n)):
+            gd, sd = dual_grad_and_second_log_psi0(p, batch)
+            gr, sr = per_coordinate_dual_grad_and_second_log_psi0(p, batch)
+            assert gd.shape == sd.shape == batch.shape
+            assert np.abs(gd - gr).max() <= 1e-12 * np.abs(gr).max()
+            assert np.abs(sd - sr).max() <= 1e-12 * np.abs(sr).max()
 
 
 def pairwise_min_separation(x, length):
