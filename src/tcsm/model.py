@@ -104,8 +104,14 @@ def derive_params(n: int, r: int, length: float = TWO_PI, beta: float = 1.0) -> 
         k=k,
         regime=regime,
     )
-    if not math.isfinite(ground_energy_physical(params)):  # G (pi/L)^2 times the coefficient
-        raise ParameterDomainError(f"the ground energy overflows at beta={beta!r}, L={length!r}")
+    try:  # G (pi/L)^2 times the coefficient, which exceeds a float itself at huge N
+        finite = math.isfinite(ground_energy_physical(params))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ParameterDomainError(
+            f"the ground energy overflows at N={n!r}, r={r!r}, beta={beta!r}, L={length!r}"
+        )
     return params
 
 

@@ -55,11 +55,6 @@ from .wavefunction import (
 # True eigenstates stay within 13 eps M of their level over a million samples
 # per state at N = 6 to 24; the published 30 at (9, 3) is 5e14 eps M away.
 ROUNDING_C = 64.0
-# The sampler draws exactly from the constrained set, so a row falls below the
-# floor only by rounding, which is rare unless L - N floor is itself at the
-# rounding level; then the redraws keep failing, and this bound turns the hang
-# into a SamplingError.
-REDRAW_ROUNDS = 8
 # Pair entries r_eff * N * width in one block of `local_energy_batch`: 2 MiB
 # of distance rows, about one core's L2 cache.  The largest batch of the
 # small-N checks, 4 * 12 * 5000 entries, still runs as one block.
@@ -67,7 +62,8 @@ BLOCK_ENTRIES = 2**18
 
 
 class SamplingError(RuntimeError):
-    """Configurations with the requested separation floor cannot be drawn."""
+    """No configuration of a draw can be used: the separation floor is
+    infeasible, every row rounds below it, or every row sits at a node of phi."""
 
 
 def _three_body_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
@@ -231,12 +227,14 @@ def sample_positions(
     can be sampled.  Drawn exactly, with no rejection: the cyclic spacings
     are floor + (L - N floor) * Dirichlet(1, ..., 1), the first point sits
     at a uniform rotation and a uniform permutation labels the points.
-    Every row is still checked against the floor; a row that fails only by
-    rounding is drawn again.  Deterministic given the seed.  Shape
-    (count, N), returned as the transposed view of a sites-first (N, count)
-    array, so `local_energy_batch` takes it without a copy.
+    The sampler draws once.  Every row is still checked against the floor,
+    and a row that fails, which only rounding can make it do, is dropped,
+    not redrawn; SamplingError if no row is left.  Deterministic given the
+    seed.  Shape (kept, N); when every row is kept, kept = count and the
+    result is the transposed view of a sites-first (N, count) array, so
+    `local_energy_batch` takes it without a copy.
 
-    Each round is built sites first in one (N, need) buffer: the spacings,
+    The draw is built sites first in one (N, count) buffer: the spacings,
     their cumulative sums down the sites axis (the same sequential sums as
     a per-row cumsum) and the rotation.  Every position then lies in
     [0, 2L), as the first N - 1 spacings sum to less than L, and subtracting
@@ -260,34 +258,30 @@ def sample_positions(
         )
     rng = np.random.default_rng(seed)
     floor = min_sep_frac * length
-    kept, need = [], count
-    for _ in range(REDRAW_ROUNDS):
-        # the buffer comes before the gaps, so the gaps are freed last; in
-        # that order the local energy that follows faults in fewer new pages
-        xs = np.empty((n, need))
-        gaps = rng.exponential(size=(need, n))
-        xs[0] = 0.0
-        np.divide(gaps[:, :-1].T, gaps.sum(axis=-1), out=xs[1:])
-        xs[1:] *= length - n * floor
-        xs[1:] += floor
-        for j in range(1, n):  # row by row: np.cumsum(axis=0) is several times slower
-            xs[j] += xs[j - 1]
-        xs += rng.uniform(0.0, length, size=need)
-        xs -= (xs >= length) * length
-        if (xs[-1] >= length).any():
-            xs %= length
-        ok = _presorted_min_separation(xs, length) >= floor
-        rng.permuted(xs, axis=0, out=xs)
-        if not kept and ok.all():
-            return xs.T
-        kept.append(xs[:, ok])
-        need -= kept[-1].shape[1]
-        if need == 0:
-            return np.concatenate(kept, axis=1).T
-    raise SamplingError(
-        f"min_sep_frac {min_sep_frac} leaves no room above the floor at N={n}: "
-        "rows keep falling below it by rounding"
-    )
+    # the buffer comes before the gaps, so the gaps are freed last; in that
+    # order the local energy that follows faults in fewer new pages
+    xs = np.empty((n, count))
+    gaps = rng.exponential(size=(count, n))
+    xs[0] = 0.0
+    np.divide(gaps[:, :-1].T, gaps.sum(axis=-1), out=xs[1:])
+    xs[1:] *= length - n * floor
+    xs[1:] += floor
+    for j in range(1, n):  # row by row: np.cumsum(axis=0) is several times slower
+        xs[j] += xs[j - 1]
+    xs += rng.uniform(0.0, length, size=count)
+    xs -= (xs >= length) * length
+    if (xs[-1] >= length).any():
+        xs %= length
+    ok = _presorted_min_separation(xs, length) >= floor
+    rng.permuted(xs, axis=0, out=xs)
+    if ok.all():
+        return xs.T
+    if not ok.any():
+        raise SamplingError(
+            f"min_sep_frac {min_sep_frac} leaves no room above the floor at N={n}: "
+            "every row falls below it by rounding"
+        )
+    return xs[:, ok].T
 
 
 # -- reduced-unit conversion ----------------------------------------------
@@ -335,7 +329,12 @@ def predicted_reduced_level(spec: StateSpec, params: ModelParams) -> float | Non
     if level is None or base is spec:
         return level
     d = state_degree(base, params.n)
-    return None if d is None else level + 2.0 * q * d + params.n * q * q
+    if d is None:
+        return None
+    try:
+        return level + 2.0 * q * d + params.n * q * q
+    except OverflowError:  # q or N q^2 exceeds a float
+        raise ParameterDomainError(f"the level of boost q={q} overflows at N={params.n}") from None
 
 
 def predicted_physical(spec: StateSpec, params: ModelParams) -> float | None:
@@ -389,26 +388,19 @@ def verify_eigenstate(
     `local_energy_batch` (a running rounding bound: Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 3).  The reference is
     `predicted`, or else the mean weighted by 1 / M^2, as the errors scale.
-    The bound has no units, so no verdict depends on beta or L.  Node-hit
-    configurations are dropped and replaced (fresh sub-seed) so the report
-    aggregates `count` samples.
+    The bound has no units, so no verdict depends on beta or L.  One draw of
+    `count` configurations is evaluated; those at a node of phi are dropped,
+    not replaced, and counted in `node_rejections`, and `samples` is the
+    number kept.  SamplingError if every configuration sits at a node.
     """
     if count < 1:
         raise ParameterDomainError(f"need samples >= 1, got {count}")
-    energies = np.empty(0, dtype=complex)
-    magnitudes = np.empty(0)
-    node_rejections = 0
-    round_ = 0
-    while len(energies) < count:
-        if round_ > 64:
-            raise SamplingError("too many node rejections")
-        need = count - len(energies)
-        x = sample_positions(params, need, seed + 7919 * round_)
-        e, nodes, mag = local_energy_batch(params, spec, x)
-        node_rejections += int(nodes.sum())
-        energies = np.concatenate([energies, e[~nodes]])
-        magnitudes = np.concatenate([magnitudes, mag[~nodes]])
-        round_ += 1
+    x = sample_positions(params, count, seed)
+    energies, nodes, magnitudes = local_energy_batch(params, spec, x)
+    node_rejections = int(nodes.sum())
+    if node_rejections == nodes.size:
+        raise SamplingError(f"all {node_rejections} sampled configurations sit at a node of phi")
+    energies, magnitudes = energies[~nodes], magnitudes[~nodes]
     re = energies.real
     mean = float(re.mean())
     stddev = float(re.std())
@@ -429,7 +421,7 @@ def verify_eigenstate(
         verdict = NO_PREDICTION if predicted is None else PASS
     return ResidualReport(
         state=spec.label(),
-        samples=count,
+        samples=energies.size,
         energy_mean=mean,
         energy_stddev=stddev,
         max_abs_dev=max_dev,

@@ -129,7 +129,7 @@ def test_verify_excited_boosted():
 
 
 def test_verify_excited_near_node():
-    # one sample lies at |phi|/scale = 3.9e-9; it must be rejected as a node
+    # one sample lies at |phi|/scale = 3.9e-9; it must be dropped as a node
     # hit: the rounding bound covers its error, so the state would still
     # pass, but kept it moves the mean by 6e-12 of the level
     code, out = run_cli(
@@ -140,6 +140,7 @@ def test_verify_excited_near_node():
     assert code == 0, data
     assert data["verdict"] == "Pass"
     assert data["node_rejections"] >= 1
+    assert data["samples"] + data["node_rejections"] == 5000
     assert data["reduced_mean"] == pytest.approx(23.0, rel=1e-12)
 
 
@@ -187,6 +188,11 @@ def test_nonfinite_parameter_rejected(flag):
     # every local energy finite, their spread not
     ["verify-excited", "--n", "6", "--r", "2", "--state", "e1", "--beta", "1e150",
      "--length", "1e-1", "--samples", "50"],
+    # the exact ground coefficient N (r (r + 1) / 2 + ...) exceeds a float
+    ["params", "--n", str(10**309), "--r", "1"],
+    # the boost's 2 q d + N q^2 exceeds a float
+    *(["verify-excited", "--n", "6", "--r", "2", "--state", "e1", "--q", str(q), "--samples", "50"]
+      for q in (10**154, -10**154, 10**400)),
 ])
 def test_overflowing_parameter_rejected(argv):
     assert "overflow" in assert_usage_error(*argv)

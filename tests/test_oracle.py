@@ -17,7 +17,6 @@ from tcsm import oracle
 from tcsm.oracle import (
     FAIL,
     PASS,
-    REDRAW_ROUNDS,
     SamplingError,
     _presorted_min_separation,
     _three_body_by_site,
@@ -356,8 +355,8 @@ def test_sampled_marginals_match_the_uniform_law(n, frac, seed):
 
 
 def test_sampling_near_infeasible_floor_raises():
-    # L - N floor at the rounding level: rows keep rounding below the floor,
-    # and the sampler must give up rather than redraw forever
+    # L - N floor at the rounding level: every row of the draw rounds below
+    # the floor, and the sampler raises rather than return no rows
     p = derive_params(10, 2, length=1.0)
     with pytest.raises(SamplingError):
         sample_positions(p, 10, seed=1, min_sep_frac=np.nextafter(0.1, 0.0))
@@ -370,62 +369,60 @@ def test_sampling_infeasible_min_sep():
 
 
 def reference_sample_positions(params, count, seed, min_sep_frac):
-    """(positions, rounds) from the sites-last sampler that `sample_positions`
-    replaced: it wraps by `% L` and checks each permuted row with the sorting
-    `min_cyclic_separation`.  Kept as the reference the draws must equal."""
+    """Positions from the sites-last sampler that `sample_positions`
+    replaced: one draw of `count` rows, wrapped by `% L`, each permuted row
+    checked with the sorting `min_cyclic_separation` and kept if it clears
+    the floor.  Kept as the reference the draws must equal."""
     n, length = params.n, params.length
     rng = np.random.default_rng(seed)
     floor = min_sep_frac * length
-    out = np.empty((0, n))
-    for rounds in range(1, REDRAW_ROUNDS + 1):
-        need = count - len(out)
-        gaps = rng.exponential(size=(need, n))
-        spacing = floor + (length - n * floor) * (gaps / gaps.sum(axis=-1, keepdims=True))
-        start = rng.uniform(0.0, length, size=(need, 1))
-        x = np.concatenate([start, start + np.cumsum(spacing[:, :-1], axis=-1)], axis=-1) % length
-        x = rng.permuted(x, axis=-1)
-        out = np.concatenate([out, x[min_cyclic_separation(x, length) >= floor]])
-        if len(out) == count:
-            return out, rounds
-    raise SamplingError(
-        f"min_sep_frac {min_sep_frac} leaves no room above the floor at N={n}: "
-        "rows keep falling below it by rounding"
-    )
+    gaps = rng.exponential(size=(count, n))
+    spacing = floor + (length - n * floor) * (gaps / gaps.sum(axis=-1, keepdims=True))
+    start = rng.uniform(0.0, length, size=(count, 1))
+    x = np.concatenate([start, start + np.cumsum(spacing[:, :-1], axis=-1)], axis=-1) % length
+    x = rng.permuted(x, axis=-1)
+    x = x[min_cyclic_separation(x, length) >= floor]
+    if not len(x):
+        raise SamplingError(
+            f"min_sep_frac {min_sep_frac} leaves no room above the floor at N={n}: "
+            "every row falls below it by rounding"
+        )
+    return x
 
 
 def assert_same_draws(params, count, seed, frac):
     """`sample_positions` equals the reference bit for bit, signs of zero
-    included, or raises the same SamplingError; returns the reference's
-    rounds, 0 when it raised."""
+    included, or raises the same SamplingError; returns the number of rows
+    the reference dropped, None when it raised."""
     try:
-        want, rounds = reference_sample_positions(params, count, seed, frac)
+        want = reference_sample_positions(params, count, seed, frac)
     except SamplingError as exc:
         with pytest.raises(SamplingError) as got:
             sample_positions(params, count, seed, frac)
         assert str(got.value) == str(exc)
-        return 0
+        return None
     got = sample_positions(params, count, seed, frac)
-    assert got.shape == want.shape == (count, params.n)
+    assert got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    return rounds
+    return count - len(want)
 
 
 def test_sampler_draws_equal_the_sites_last_reference():
     # at (1 - 1e-12)/N the slack L - N floor is ~1e-12 L, and some rows round
-    # below the floor and are redrawn; at (1 - 2e-16)/N the slack is at the
-    # rounding level, rows keep failing, and some runs give up
-    rounds = {"ordinary": set(), "rounding": set(), "no room": set()}
+    # below the floor and are dropped; at (1 - 2e-16)/N the slack is at the
+    # rounding level, and in some draws every row fails and the sampler raises
+    dropped = {"ordinary": set(), "rounding": set(), "no room": set()}
     for n in (3, 6, 9, 12, 13, 64):
         p = derive_params(n, 1, length=[2.0 * math.pi, 1.0, 3.0][n % 3])
         fracs = {"ordinary": 1e-3, "rounding": (1 - 1e-12) / n, "no room": (1 - 2e-16) / n}
         for kind, frac in fracs.items():
             for seed in range(4):
                 for count in (1, 500):
-                    rounds[kind].add(assert_same_draws(p, count, seed, frac))
-    assert rounds["ordinary"] == {1}
-    assert max(rounds["rounding"]) > 1
-    assert 0 in rounds["no room"]
+                    dropped[kind].add(assert_same_draws(p, count, seed, frac))
+    assert dropped["ordinary"] == {0}
+    assert max(dropped["rounding"] - {None}) > 0
+    assert None in dropped["no room"]
 
 
 class RiggedGenerator:
@@ -459,16 +456,16 @@ class RiggedGenerator:
         (1e-300, [0.0022693266812281823, 0.5503428726390482, 1e-300], np.nextafter(1.0, 0.0)),
         # the same overshoot leaves the last point 2^-53 past the first, so
         # the row has two descents; the sort finds a separation of 1.1e-16
-        # below the 1.5e-16 floor, and the row is redrawn
+        # below the 1.5e-16 floor, and the row is dropped
         (1.5e-16, [0.586909067940969, 0.8972541206659738, 1e-300], 0.04244648245181082),
     ],
 )
 def test_sampler_matches_reference_where_spacings_overshoot_the_circle(monkeypatch, frac, bad_gaps, bad_start):
     p = derive_params(3, 1, length=1.0)
-    gaps = [[1.0, 2.0, 3.0], bad_gaps, [0.5, 0.25, 2.0], [3.0, 1.0, 1.0]] * 2
-    starts = [0.25, bad_start, 0.5, 0.75] * 2
+    gaps = [[1.0, 2.0, 3.0], bad_gaps, [0.5, 0.25, 2.0]]
+    starts = [0.25, bad_start, 0.5]
     monkeypatch.setattr(np.random, "default_rng", lambda seed: RiggedGenerator(gaps, starts))
-    assert assert_same_draws(p, 3, 1, frac) == (1 if frac == 1e-300 else 2)
+    assert assert_same_draws(p, 3, 1, frac) == (0 if frac == 1e-300 else 1)
 
 
 def test_presorted_min_separation_equals_sorted_minimum():
@@ -517,20 +514,13 @@ def test_default_floor(n, frac):
     assert (min_cyclic_separation(x, p.length) >= frac * p.length).all()
 
 
-def test_local_energy_holds_on_redrawn_rows(monkeypatch):
+def test_local_energy_holds_on_the_rows_kept():
     # at (1 - 1e-12)/N the slack above the floor is ~1e-12 L, so some rows
-    # round below the floor and are drawn again; the combo local energy of
-    # the rows returned must still be its closed-form level
+    # round below the floor and are dropped; the combo local energy of the
+    # rows kept must still be its closed-form level
     p = derive_params(64, 8)
-    rounds = []
-
-    def spy(xs, length):
-        rounds.append(xs.shape[1])
-        return _presorted_min_separation(xs, length)
-
-    monkeypatch.setattr(oracle, "_presorted_min_separation", spy)
     x = sample_positions(p, 2000, seed=1, min_sep_frac=(1 - 1e-12) / 64)
-    assert len(rounds) > 1 and rounds[0] == 2000
+    assert 0 < len(x) < 2000
     spec = StateSpec(COMBO)
     e, nodes, _ = local_energy_batch(p, spec, x)
     re = e[~nodes].real
@@ -624,6 +614,22 @@ def test_node_error_at_equispaced():
     p = derive_params(6, 2)
     _, nodes, _ = local_energy_batch(p, StateSpec(E1), (np.arange(6) * p.length / 6)[None, :])
     assert nodes.tolist() == [True]
+
+
+def test_verify_raises_at_once_when_every_row_sits_at_a_node(monkeypatch):
+    # the one draw is evaluated once; with every row at a node nothing is
+    # left to report, and no further draw is made
+    batches = []
+
+    def at_nodes(params, spec, x):
+        batches.append(len(x))
+        e, nodes, mag = local_energy_batch(params, spec, x)
+        return e, np.ones_like(nodes), mag
+
+    monkeypatch.setattr(oracle, "local_energy_batch", at_nodes)
+    with pytest.raises(SamplingError, match="node"):
+        verify_eigenstate(derive_params(6, 2), StateSpec(E1), count=50)
+    assert batches == [50]
 
 
 def test_parity_degeneracy_oracle():
