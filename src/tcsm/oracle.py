@@ -13,6 +13,7 @@ x[None, :].
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -29,6 +30,8 @@ from .model import (
     triple_offsets,
 )
 from .wavefunction import (
+    COINCIDENT_COT,
+    COINCIDENT_SPAN,
     COS_SUM,
     E1,
     GROUND,
@@ -59,6 +62,32 @@ ROUNDING_C = 64.0
 # of distance rows, about one core's L2 cache.  The largest batch of the
 # small-N checks, 4 * 12 * 5000 entries, still runs as one block.
 BLOCK_ENTRIES = 2**18
+# glibc's mallopt parameters and the values `_keep_freed_pages` sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD = 64 * 2**20
+MMAP_THRESHOLD = 32 * 2**20
+
+
+@functools.cache
+def _keep_freed_pages() -> None:
+    """Keep freed heap pages in the process, once, at the first draw or evaluation.
+
+    glibc's dynamic thresholds return the heap top to the OS after each
+    batch, so the next batch faults the same pages back in: about 900 per
+    (12, 4, 5000) call.  Fixed thresholds (TRIM_THRESHOLD of free top kept,
+    blocks below MMAP_THRESHOLD served from the heap) keep them.  Not at
+    import: commands that never sample would pay in peak memory.  A no-op
+    where the C library has no `mallopt`.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 class SamplingError(RuntimeError):
@@ -110,6 +139,7 @@ def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
     the outputs would depend on the blocking.  So the width is at least 2,
     and a last block of one column joins the block before it.
     """
+    _keep_freed_pages()
     xs = _sites_first(x)
     count = xs[0].size
     width = max(2, BLOCK_ENTRIES // (params.r_eff * params.n))
@@ -126,6 +156,7 @@ def local_energy_batch(params: ModelParams, spec: StateSpec, x: np.ndarray):
     return energies.reshape(shape), nodes.reshape(shape), mag.reshape(shape)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # a coincident pair's cot is inf
 def _local_energy_block(params: ModelParams, spec: StateSpec, xs: np.ndarray):
     """`local_energy_batch` at sites-first positions xs of shape (N, ...), in one pass.
 
@@ -145,8 +176,14 @@ def _local_energy_block(params: ModelParams, spec: StateSpec, xs: np.ndarray):
     most P e |k| (sum_m |g0_m| + |k| N e / 2) (`phi_moduli`), with
     sum_m |g0_m| <= sqrt(N sum_m g0_m^2) <= sqrt(2 N M0), and dividing by
     phi multiplies them by (1 + P / |phi|) / |phi|.
+
+    Coincident pairs are decided from M, not by a test on every row: M is
+    at least G (pi/L)^2 cot^2 / 2 for each pair, and while every |x| is
+    below COINCIDENT_SPAN L a coincident pair has |cot| > COINCIDENT_COT.
+    So only a block whose M or |x| reaches its bound, NaN included, reruns
+    `pair_cot`'s exact test, which raises SeparationError.
     """
-    cot = pair_cot(params, xs)
+    cot = pair_cot(params, xs, check=False)
     gu = params.big_g * (math.pi / params.length) ** 2
     real = _three_body_by_site(params, cot)
     real *= -gu
@@ -187,6 +224,10 @@ def _local_energy_block(params: ModelParams, spec: StateSpec, xs: np.ndarray):
         ratio = np.abs(inv)
         ratio *= scale
         mag += (np.sqrt(c * mag) + 0.25 * c) * ratio * (1.0 + ratio)
+    span = COINCIDENT_SPAN * params.length
+    if not (mag.max(initial=0.0) < 0.5 * gu * COINCIDENT_COT**2
+            and -span < xs.min(initial=0.0) and xs.max(initial=0.0) < span):
+        pair_cot(params, xs)
     return real - (k * cross + 0.5 * k * k * lap) * inv, nodes, mag
 
 
@@ -256,6 +297,7 @@ def sample_positions(
         raise SamplingError(
             f"min_sep_frac {min_sep_frac} infeasible for N={n} (need 0 < f < 1/N)"
         )
+    _keep_freed_pages()
     rng = np.random.default_rng(seed)
     floor = min_sep_frac * length
     # the buffer comes before the gaps, so the gaps are freed last; in that

@@ -252,6 +252,31 @@ def partitions(d: int, max_parts: int, max_part: int | None = None) -> Iterator[
             yield (first,) + tail
 
 
+def partition_count(d: int, max_parts: int, cap: int) -> int:
+    """Partitions of d into at most max_parts parts, or cap + 1 if there are more than cap.
+
+    The count never falls as d grows (adding 1 to the first part maps the
+    partitions of d into those of d + 1, one to one), and with two parts
+    allowed it is at least d // 2 + 1, so a d above 2 cap is over the cap
+    at once.  Otherwise the counts of 0..d with parts at most k, which is
+    the conjugate of at most k parts, are built for k = 1, 2, ..., and the
+    loop stops once d's count passes cap.  That count is at least p(k) once
+    k <= d, so the loop ends by the k whose p(k) passes cap (k = 21 for a
+    cap of 640), and each pass takes O(d).
+    """
+    if max_parts < 2 or d < 2:
+        return int(max_parts > 0 or d == 0)
+    if d > 2 * cap:
+        return cap + 1
+    counts = [1] + [0] * d
+    for k in range(1, min(max_parts, d) + 1):
+        for total in range(k, d + 1):
+            counts[total] += counts[total - k]
+        if counts[d] > cap:
+            return cap + 1
+    return counts[d]
+
+
 def monomial_symmetric(partition: tuple[int, ...], nvars: int) -> LaurentPoly:
     """Orbit sum of z^partition under all variable permutations, coefficient 1:
     every arrangement is a rotation of one of its necklaces."""

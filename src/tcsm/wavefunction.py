@@ -27,6 +27,14 @@ import numpy as np
 from .model import ModelParams
 
 SEPARATION_FLOOR = 1e-300
+# `pair_cot`'s test flags a pair whose x_a - x_b rounds to k L, k an integer
+# (within SEPARATION_FLOOR of 0 for k = 0).  Its angle fl(k fl(pi)) is then
+# within |k| (|fl(pi) - pi| + pi 2^-53) < |k| 4.8e-16 of k pi, so
+# |cot| > 2.08e15 / |k|, or > 3e299 or inf at k = 0.  While every |x| is
+# below COINCIDENT_SPAN L, |k| <= 2 COINCIDENT_SPAN = 128 and
+# |cot| > 1.6e13, 16 times COINCIDENT_COT.
+COINCIDENT_SPAN = 64
+COINCIDENT_COT = 1e12
 # Near a node of phi the local energy's rounding error grows like P / |phi|,
 # P the node scale.  The oracle's bound M grows with it, so no verdict needs
 # this cut; it keeps that growth under 1e6, so that a sample close to a node
@@ -102,26 +110,29 @@ def _sites_first(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
 
 
-def pair_cot(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+def pair_cot(params: ModelParams, xs: np.ndarray, check: bool = True) -> np.ndarray:
     """cot(pi (x_j - x_{j+d}) / L) for the distance rows d = 1..r_eff, shape (r_eff, N, ...).
 
     Takes sites-first positions (`_sites_first`).  Row d at site j is the
     interacting pair (j, j + d mod N).  The angles come from raw
     differences: cot is pi-periodic, so no wrap is needed and none costs
     precision.  Raises SeparationError when a pair coincides modulo L,
-    including two positions a whole period apart.
+    including two positions a whole period apart.  With check=False that
+    test is left to the caller, and a coincident pair gives a huge or
+    infinite cot (COINCIDENT_COT).
     """
     n = params.n
     cot = np.empty((params.r_eff,) + xs.shape)
-    off = np.empty(xs.shape)
+    off = np.empty(xs.shape) if check else None
     for d, row in enumerate(cot, 1):
         np.subtract(xs[: n - d], xs[d:], out=row[: n - d])
         np.subtract(xs[n - d :], xs[:d], out=row[n - d :])
         row /= params.length
-        np.rint(row, out=off)
-        off -= row
-        if np.any(np.abs(off, out=off) < SEPARATION_FLOOR):
-            raise SeparationError(f"coincident pair at distance {d}")
+        if check:
+            np.rint(row, out=off)
+            off -= row
+            if np.any(np.abs(off, out=off) < SEPARATION_FLOOR):
+                raise SeparationError(f"coincident pair at distance {d}")
         row *= math.pi
         np.reciprocal(np.tan(row, out=row), out=row)
     return cot
@@ -167,7 +178,7 @@ def _grad_log_psi0(params: ModelParams, cot: np.ndarray) -> np.ndarray:
     """Sites-first gradient, shape (N, ...): each pair (j, j + d) adds
     beta (pi/L) cot to site j and subtracts it at j + d."""
     n, w = params.n, _row_weights(params)
-    grad = np.tensordot(w, cot, axes=1)
+    grad = np.einsum("d,dj...->j...", w, cot)  # not tensordot: BLAS threads cost more than the sum
     for d, (wd, c) in enumerate(zip(w, cot), 1):
         if wd != 1.0:
             c = wd * c

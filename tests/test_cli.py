@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from tcsm import cli
+from tcsm import cli, spectral
 from tcsm.cli import main
 
 
@@ -269,6 +269,22 @@ def test_spectrum_command():
     assert code == 0
     assert data["eigenvalues"][0]["value"] == pytest.approx(5.0)
     assert data["matched_levels"]["e1"] == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("n, r, degree", [(3, 1, 3000), (6, 2, 10**29)])
+def test_spectrum_past_the_dimension_limit_rejected(n, r, degree):
+    # 750,000 and about 10^141 partitions: counted up to the limit, not built
+    message = assert_usage_error("spectrum", "--n", str(n), "--r", str(r), "--degree", str(degree))
+    assert "dim_symmetric" in message and str(spectral.SPECTRUM_MAX_DIM) in message
+
+
+def test_spectrum_dimension_limit_is_inclusive(monkeypatch):
+    # (6, 2, 4) has the 5 partitions 4, 31, 22, 211, 1111
+    monkeypatch.setattr(spectral, "SPECTRUM_MAX_DIM", 5)
+    code, out = run_cli("spectrum", "--n", "6", "--r", "2", "--degree", "4")
+    assert code == 0 and json.loads(out)["dim_symmetric"] == 5
+    monkeypatch.setattr(spectral, "SPECTRUM_MAX_DIM", 4)
+    assert "above 4" in assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "4")
 
 
 def test_count_triples():

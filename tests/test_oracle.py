@@ -228,6 +228,26 @@ def test_blocked_local_energy_equals_one_block(monkeypatch, n, r, regime):
         assert [np.shape(a) for a in local_energy_batch(p, spec, x[:0])] == [(0,)] * 3
 
 
+def test_second_oracle_call_faults_in_no_freed_pages():
+    # glibc's dynamic trim threshold gave the heap top back after each
+    # (12, 4, 5000) call, and the next call faulted about 900 pages back in
+    ctypes = pytest.importorskip("ctypes")
+    resource = pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    p = derive_params(12, 4, beta=1.5)
+    spec = StateSpec(COMBO)
+    predicted = predicted_physical(spec, p)
+    verify_eigenstate(p, spec, count=5000, seed=1, predicted=predicted)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    report = verify_eigenstate(p, spec, count=5000, seed=2, predicted=predicted)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert report.verdict == PASS
+    assert faults < 100, faults
+
+
 def test_local_energy_memory_is_flat_in_count():
     # blocks of BLOCK_ENTRIES pair entries: from 4,000 to 40,000 samples the
     # peak grows by the outputs, 16 + 1 + 8 bytes per sample, and 64 KiB at

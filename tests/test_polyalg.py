@@ -18,6 +18,7 @@ from tcsm.polyalg import (
     exact_divide,
     monomial_symmetric,
     necklaces,
+    partition_count,
     partitions,
     power_sum,
     project,
@@ -226,6 +227,19 @@ def test_partitions_come_in_reverse_lex_order():
         for n in range(1, 16):
             parts = list(partitions(d, n))
             assert parts == sorted(set(parts), reverse=True), (d, n)
+
+
+def test_partition_count_matches_enumeration():
+    for d in range(30):
+        for n in range(6):
+            total = sum(1 for _ in partitions(d, n))
+            for cap in (1, 4, 50, 640):
+                assert partition_count(d, n, cap) == min(total, cap + 1), (d, n, cap)
+    # past the cap the count stops early, at any degree
+    assert partition_count(3000, 3, 640) == 641
+    assert partition_count(10**29, 6, 640) == 641
+    assert partition_count(1280, 10**6, 640) == 641
+    assert partition_count(20, 20, 640) == 627
 
 
 def test_symmetric_basis_dims():

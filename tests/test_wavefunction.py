@@ -6,7 +6,7 @@ import pytest
 
 from tcsm.dual_paths import dual_grad_and_second_log_psi0
 from tcsm.model import derive_params, interaction_pairs, three_body_triples
-from tcsm.oracle import potential_energy, sample_positions, state_degree
+from tcsm.oracle import local_energy_batch, potential_energy, sample_positions, state_degree
 from tcsm.polyalg import LaurentPoly
 from tcsm.wavefunction import (
     COMBO,
@@ -19,6 +19,9 @@ from tcsm.wavefunction import (
     POLY,
     SIN_SUM,
     BOOSTED,
+    COINCIDENT_COT,
+    COINCIDENT_SPAN,
+    SEPARATION_FLOOR,
     SeparationError,
     StateSpec,
     _site_sum,
@@ -26,6 +29,7 @@ from tcsm.wavefunction import (
     laplacian_ratio_psi0,
     log_psi0,
     min_cyclic_separation,
+    pair_cot,
     phi_eval_batch,
     phi_moduli,
 )
@@ -180,17 +184,74 @@ def test_site_sum_adds_every_site_once():
         assert _site_sum(a[:, 0, 0]) == a[:, 0, 0].sum()
 
 
+def local_energy(p, x):
+    return local_energy_batch(p, StateSpec(COMBO), x)
+
+
+# (x at site 0, x at the other site) of a pair k whole periods apart: k = 0,
+# +-1, +-2, 64 (32 L is exact, so -32 L and 32 L differ by exactly 64 L), and
+# 2^40 beyond COINCIDENT_SPAN L, where the angle rounds 1.3e-4 from k pi and
+# cot is about 7e3: only the bound on |x| sends that pair to the exact test
+COINCIDENT = {
+    "coincident": (0.0, 0.0),
+    "one_period_apart": (0.0, L),
+    "one_period_behind": (0.0, -L),
+    "two_periods_apart": (0.0, 2 * L),
+    "two_periods_behind": (0.0, -2 * L),
+    "64_periods_apart": (-32 * L, 32 * L),
+    "beyond_the_span": (0.0, 2.0**40 * L),
+}
+
+
+# a 1/0 or an overflow before the SeparationError fails the test
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
-    "evaluate", [log_psi0, grad_log_psi0, laplacian_ratio_psi0, potential_energy])
-@pytest.mark.parametrize("second", [0.0, L], ids=["coincident", "one_period_apart"])
+    "evaluate", [log_psi0, grad_log_psi0, laplacian_ratio_psi0, potential_energy, local_energy])
+@pytest.mark.parametrize("pair", COINCIDENT.values(), ids=COINCIDENT)
 @pytest.mark.parametrize("site", [1, 2, 5])
-def test_coincident_pair_rejected(evaluate, second, site):
+def test_coincident_pair_rejected(evaluate, pair, site):
     # sites 1 and 5 are nearest neighbours of site 0 and site 2 is at distance 2
     p = derive_params(6, 2, beta=2.0)
     x = sample_positions(p, 3, seed=1)
-    x[1, 0], x[1, site] = 0.0, second
+    x[1, 0], x[1, site] = pair
     with pytest.raises(SeparationError):
         evaluate(p, x)
+
+
+@pytest.mark.parametrize("length", [1.0, L, 0.3, 1e6, 1e-6])
+def test_coincident_pairs_clear_the_cot_bound(length):
+    # every pair that the exact test flags k whole periods apart, with
+    # |k| <= 2 COINCIDENT_SPAN, has |cot| > 2.08e15 / |k| without the test;
+    # at length 1 every k is exact, up to 127 with both |x| < 64 L
+    p = derive_params(6, 2, length, 2.0)
+    near = np.arange(-2 * COINCIDENT_SPAN, 2 * COINCIDENT_SPAN + 1) * length
+    near = np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)])
+    k = np.rint(near / length)
+    near = near[np.abs(k - near / length) < SEPARATION_FLOOR]
+    assert len(near) > 4 * COINCIDENT_SPAN
+    xs = np.tile(np.arange(6.0)[:, None] * length / 6 + length / 12, (1, len(near)))
+    xs[0], xs[1] = near, 0.0
+    with np.errstate(divide="ignore", over="ignore"):  # cot is inf at k = 0
+        cot = np.abs(pair_cot(p, xs, check=False)[0, 0])
+    k = np.abs(np.rint(near / length))
+    assert np.all(cot >= np.where(k == 0, 3e299, 2.08e15 / np.maximum(k, 1))), length
+    assert np.all(cot > 16 * COINCIDENT_COT)
+    if length == 1.0:
+        y = sample_positions(p, 3, seed=1)
+        y[1, 0], y[1, 1] = -63.5, 63.5
+        with pytest.raises(SeparationError):
+            local_energy(p, y)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_near_coincident_pair_is_legal():
+    # 1e-9 L apart, cot is 3e8: far below the bound, so M decides alone
+    p = derive_params(6, 2, beta=2.0)
+    x = sample_positions(p, 3, seed=1)
+    x[1, 1] = x[1, 0] + 1e-9 * L
+    e, nodes, mag = local_energy(p, x)
+    assert np.all(np.isfinite(e)) and np.all(np.isfinite(mag))
+    assert mag[1] < 0.5 * p.big_g * (math.pi / L) ** 2 * COINCIDENT_COT**2
 
 
 # -- excitation factors ----------------------------------------------------
