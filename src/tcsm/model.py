@@ -9,22 +9,43 @@ evaluated in rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
 TRUNCATED = "truncated"
 FULL = "full"
 
+# state kinds of `wavefunction.StateSpec`, and the keys of `closed_form_levels`
+GROUND = "ground"
+E1 = "e1"
+ENM1 = "enm1"
+EN = "en"
+COMBO = "combo"
+COS_SUM = "cos_sum"
+SIN_SUM = "sin_sum"
+NONDEG_ZERO = "nondeg_zero"
+BOOSTED = "boosted"
+POLY = "poly"
+
+# verdicts of `oracle.verify_eigenstate` and of the CLI's checks
+PASS = "Pass"
+FAIL = "Fail"
+NO_PREDICTION = "NoPrediction"
+
 
 class ParameterDomainError(ValueError):
     """Inputs (N, r, L, beta) outside the admissible domain."""
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class SamplingError(RuntimeError):
+    """No configuration of a draw can be used: the separation floor is
+    infeasible, every row rounds below it, or every row sits at a node of phi."""
+
+
+class ModelParams(NamedTuple):
     """Validated model parameters plus all derived quantities.
 
     Sites are indexed 0..n-1.  ``g = beta*(beta-1)`` and ``big_g = beta**2``
@@ -206,14 +227,14 @@ def closed_form_levels(params: ModelParams, beta):
 
     rho is the per-site drift weight (2r in the truncated regime), so the
     levels read 1+rho*beta, (N-1)+rho*beta, N, N+2(1+rho*beta), 2+2*rho*beta.
-    The keys are the state kinds of `wavefunction`.
+    The keys are the state kinds.
     """
     n = params.n
     rb = params.drift_weight * beta
     return {
-        "e1": 1 + rb,
-        "enm1": (n - 1) + rb,
-        "en": n,
-        "combo": n + 2 * (1 + rb),
-        "nondeg_zero": 2 + 2 * rb,
+        E1: 1 + rb,
+        ENM1: (n - 1) + rb,
+        EN: n,
+        COMBO: n + 2 * (1 + rb),
+        NONDEG_ZERO: 2 + 2 * rb,
     }

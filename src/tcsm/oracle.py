@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    TABLE1_ROWS,
+from .model import (  # the verdicts and SamplingError live in `model`, which loads no numpy
+    FAIL,
+    NO_PREDICTION,
+    PASS,
     ModelParams,
     ParameterDomainError,
+    SamplingError,
     closed_form_levels,
-    derive_params,
-    ground_energy_coeff,
     ground_energy_physical,
     triple_offsets,
 )
@@ -88,11 +89,6 @@ def _keep_freed_pages() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
-
-
-class SamplingError(RuntimeError):
-    """No configuration of a draw can be used: the separation floor is
-    infeasible, every row rounds below it, or every row sits at a node of phi."""
 
 
 def _three_body_by_site(params: ModelParams, cot: np.ndarray) -> np.ndarray:
@@ -388,13 +384,7 @@ def predicted_physical(spec: StateSpec, params: ModelParams) -> float | None:
 
 # -- verification harness --------------------------------------------------
 
-PASS = "Pass"
-FAIL = "Fail"
-NO_PREDICTION = "NoPrediction"
-
-
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     """Aggregate local-energy statistics for one candidate eigenstate."""
 
     state: str
@@ -411,7 +401,7 @@ class ResidualReport:
     node_rejections: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite statistic
@@ -476,36 +466,3 @@ def verify_eigenstate(
         node_rejections=node_rejections,
     )
 
-
-def run_table1_rows(samples: int = 2000, seed: int = 1) -> list:
-    """One row per entry of `model.TABLE1_ROWS`: the published ground energy
-    against the closed form, with the oracle run on each conflicting row."""
-    rows = []
-    for (n, r), published in sorted(TABLE1_ROWS.items()):
-        params = derive_params(n, r, beta=1.0)
-        formula = int(ground_energy_coeff(params))
-        verdict = "match" if formula == published else "conflict"
-        row = {
-            "N": n,
-            "r": r,
-            "published": published,
-            "formula": formula,
-            "verdict": verdict,
-        }
-        if verdict == "conflict":
-            # the sampled local energy adjudicates which number is the eigenvalue
-            report = verify_eigenstate(
-                params,
-                StateSpec(GROUND),
-                count=samples,
-                seed=seed,
-                predicted=ground_energy_physical(params),
-            )
-            # measured E0 in units of pi^2/L^2: should land on `formula`
-            row["oracle_energy_reduced"] = (
-                report.energy_mean * params.length**2 / math.pi**2
-            )
-            row["oracle_confirms_formula"] = report.verdict == PASS
-            row["oracle_rounding_multiple"] = report.rounding_multiple
-        rows.append(row)
-    return rows

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, repeat
+from math import comb, gcd
 from operator import add, neg
 from typing import Iterable, Iterator
 
@@ -290,6 +291,29 @@ def necklaces(partition: tuple[int, ...], nvars: int) -> list[tuple[int, ...]]:
     if len(partition) > nvars:
         raise ValueError(f"partition {partition} has more than {nvars} parts")
     return [tuple(word) for _, word in _necklace_walk(partition, nvars)]
+
+
+def count_necklaces(nvars: int, degree: int) -> int:
+    """The number of necklaces of N non-negative parts summing to d, over
+    every partition: the dimension of the degree-d cyclic basis, with no
+    enumeration.
+
+    Burnside over the N rotations: phi(t) of them have order t, phi Euler's
+    totient, and one of order t fixes the words made of t copies of a block
+    of N/t parts, which sum to d only when t | d and then number
+    C(N/t + d/t - 1, d/t).  So the count is
+    (1/N) sum over t | gcd(N, d) of phi(t) C(N/t + d/t - 1, d/t), in
+    O(gcd(N, d)^2) integer steps.
+    """
+    if degree < 0:
+        return 0
+    g = gcd(nvars, degree)
+    total = 0
+    for t in range(1, g + 1):
+        if g % t == 0:
+            phi = sum(gcd(k, t) == 1 for k in range(1, t + 1))
+            total += phi * comb(nvars // t + degree // t - 1, degree // t)
+    return total // nvars
 
 
 def _necklace_walk(partition: tuple[int, ...], nvars: int) -> Iterator[tuple[int, list[int]]]:

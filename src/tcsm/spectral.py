@@ -28,12 +28,12 @@ operations and `polyalg.exact_divide` are its reference in the tests.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement, repeat
 from math import gcd, lcm, pi
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from .model import ModelParams, ParameterDomainError, closed_form_levels, interaction_pairs
 from .polyalg import (
@@ -43,6 +43,7 @@ from .polyalg import (
     LaurentPoly,
     _necklace_walk,
     basis,
+    count_necklaces,
     partition_count,
 )
 
@@ -51,8 +52,7 @@ class PencilError(RuntimeError):
     """Structural failure while solving a degree block or certifying an eigenvector."""
 
 
-@dataclass(frozen=True)
-class H1Operator:
+class H1Operator(NamedTuple):
     params: ModelParams
     drift_pairs: tuple[tuple[int, int], ...]
 
@@ -295,8 +295,7 @@ def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
     return Fraction(v0 * coeff.denominator, scale * coeff.numerator)
 
 
-@dataclass(frozen=True)
-class PencilBlock:
+class PencilBlock(NamedTuple):
     """Exact degree-d block: A = A0 + beta*A1 maps symmetric coordinates into
     the cyclic-invariant basis of `dim_cyc` necklaces; E is the embedding.
     A necklace's row of E (of A0) is 1 (sum_j lambda_j^2) at its partition
@@ -392,14 +391,12 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     return PencilBlock(degree=degree, sym_basis=sym, dim_cyc=dim_cyc, rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class EigenPair:
+class EigenPair(NamedTuple):
     value: Fraction
     vector: tuple[Fraction, ...]  # symmetric-basis coordinates, first nonzero one 1
 
 
-@dataclass(frozen=True)
-class PencilSolution:
+class PencilSolution(NamedTuple):
     certified: tuple[EigenPair, ...]  # one pair per eigenspace basis vector
     spurious: tuple[Fraction, ...]  # eigenvalues of E^+ A that are not pencil levels
     ambiguous: tuple = ()  # always empty: no threshold is left to leave a pair undecided
@@ -467,15 +464,24 @@ def _primitive(v: list[int]) -> list[int]:
 # The solve is dense and grows about as their cube: on a 2-vCPU Xeon it took
 # 24 s for the 631 of (3,1,84), where every pair interacts; (20,10,20) has 627.
 SPECTRUM_MAX_DIM = 640
+# The most steps `build_pencil`'s necklace walk may take for one block.  Each
+# necklace recomputes its row over at most N positions and P drift pairs, so
+# the walk takes at most dim_cyclic * (N + P) steps.  On a 2-vCPU Xeon blocks
+# ran 2.6 to 25 million steps a second: slowest at small r and high degree,
+# where unpacking many distinct rows adds to each necklace, as at (10,1,20),
+# and fastest with many pairs, as at (60,29,4).  So a block at the limit takes
+# about 4 to 40 s.  (13,6,13) takes 36.4 million steps; (16,3,16), with
+# 18,784,170 necklaces, would take 1.2 billion, and (20,10,20), with
+# 3,446,167,860, 724 billion.
+SPECTRUM_MAX_STEPS = 100_000_000
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     degree: int
     beta_value: float
     basis_dims: tuple[int, int]  # (symmetric, cyclic)
     eigenvalues: tuple[tuple[Fraction, int], ...]  # (lambda, multiplicity), ascending
-    matched_levels: dict = field(default_factory=dict)  # level name -> lambda
+    matched_levels: dict  # level name -> lambda
     momentum: float = 0.0
     n_spurious: int = 0
 
@@ -496,12 +502,22 @@ class SpectrumReport:
 
 
 def spectrum_report(op: H1Operator, degree: int, beta_value: float) -> SpectrumReport:
-    """The levels of one degree block, if it has at most SPECTRUM_MAX_DIM partitions."""
+    """The levels of one degree block, if it has at most SPECTRUM_MAX_DIM
+    partitions and its necklace walk at most SPECTRUM_MAX_STEPS steps, both
+    counted before anything is built."""
     n = op.params.n
     if partition_count(degree, n, SPECTRUM_MAX_DIM) > SPECTRUM_MAX_DIM:
         raise ParameterDomainError(
             f"the degree-{degree} block at N={n} has dim_symmetric above {SPECTRUM_MAX_DIM}, "
             f"the limit of an exact solve"
+        )
+    dim_cyc = count_necklaces(n, degree)
+    steps = dim_cyc * (n + len(op.drift_pairs))
+    if steps > SPECTRUM_MAX_STEPS:
+        raise ParameterDomainError(
+            f"the degree-{degree} block at N={n} has {dim_cyc} necklaces (dim_cyclic), a walk of "
+            f"up to {steps} steps with N + {len(op.drift_pairs)} drift pairs per necklace, "
+            f"above {SPECTRUM_MAX_STEPS}, the limit of the necklace walk"
         )
     block = build_pencil(op, degree)
     sol = solve_pencil(block, beta_value)
@@ -518,8 +534,7 @@ def spectrum_report(op: H1Operator, degree: int, beta_value: float) -> SpectrumR
     )
 
 
-@dataclass(frozen=True)
-class ParityResult:
+class ParityResult(NamedTuple):
     partner: LaurentPoly
     lam: Fraction
     lam_partner: Fraction
@@ -547,8 +562,7 @@ def parity_partner(op: H1Operator, p: LaurentPoly, beta) -> ParityResult:
     )
 
 
-@dataclass(frozen=True)
-class BoostCheck:
+class BoostCheck(NamedTuple):
     q: int
     degree: int
     lam_base: Fraction

@@ -20,11 +20,23 @@ test references.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelParams
+from .model import (  # the state kinds are defined in `model`, which loads no numpy
+    BOOSTED,
+    COMBO,
+    COS_SUM,
+    E1,
+    EN,
+    ENM1,
+    GROUND,
+    NONDEG_ZERO,
+    POLY,
+    SIN_SUM,
+    ModelParams,
+)
 
 SEPARATION_FLOOR = 1e-300
 # `pair_cot`'s test flags a pair whose x_a - x_b rounds to k L, k an integer
@@ -46,42 +58,35 @@ class SeparationError(ArithmeticError):
     """Two particles are (numerically) coincident."""
 
 
-# state kinds
-GROUND = "ground"
-E1 = "e1"
-ENM1 = "enm1"
-EN = "en"
-COMBO = "combo"
-COS_SUM = "cos_sum"
-SIN_SUM = "sin_sum"
-NONDEG_ZERO = "nondeg_zero"
-BOOSTED = "boosted"
-POLY = "poly"
-
 _KINDS = {GROUND, E1, ENM1, EN, COMBO, COS_SUM, SIN_SUM, NONDEG_ZERO, BOOSTED, POLY}
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class _StateFields(NamedTuple):  # the defaults are StateSpec.__new__'s
+    kind: str
+    q: int
+    base: StateSpec | None
+    poly: object  # polyalg.LaurentPoly for kind 'poly'
+
+
+class StateSpec(_StateFields):
     """Label of a candidate eigenfunction psi = psi0 * phi.
 
     kind 'boosted' wraps a base spec and multiplies phi by (prod z_i)^q.
     kind 'poly' evaluates an explicit LaurentPoly (exponent -> coefficient
     mapping) as phi; used to cross-check certified spectral eigenvectors.
+    An immutable record, validated when it is made.
     """
 
-    kind: str
-    q: int = 0
-    base: "StateSpec | None" = None
-    poly: object = None  # polyalg.LaurentPoly for kind 'poly'
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown state kind {self.kind!r}")
-        if self.kind == BOOSTED and self.base is None:
+    def __new__(cls, kind: str, q: int = 0, base: StateSpec | None = None, poly: object = None):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown state kind {kind!r}")
+        if kind == BOOSTED and base is None:
             raise ValueError("boosted spec needs a base")
-        if self.kind == POLY and self.poly is None:
+        if kind == POLY and poly is None:
             raise ValueError("poly spec needs a polynomial")
+        return super().__new__(cls, kind, q, base, poly)
 
     def label(self) -> str:
         if self.kind == BOOSTED:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from tcsm.cli import run_table1_rows
 from tcsm.dual_paths import dual_grad_and_second_log_psi0
 from tcsm.model import (
     derive_params,
@@ -21,7 +22,6 @@ from tcsm.oracle import (
     PASS,
     ROUNDING_C,
     predicted_physical,
-    run_table1_rows,
     sample_positions,
     verify_eigenstate,
 )

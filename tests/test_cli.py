@@ -287,6 +287,25 @@ def test_spectrum_dimension_limit_is_inclusive(monkeypatch):
     assert "above 4" in assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "4")
 
 
+@pytest.mark.parametrize("n, r, degree, count", [(16, 3, 16, 18_784_170),
+                                                 (20, 10, 20, 3_446_167_860)])
+def test_spectrum_past_the_walk_limit_rejected(n, r, degree, count):
+    # 231 and 627 partitions, under the dimension limit; the necklaces are
+    # counted in closed form, not walked, so the command exits 2 at once
+    message = assert_usage_error("spectrum", "--n", str(n), "--r", str(r), "--degree", str(degree))
+    assert f"{count} necklaces" in message and str(spectral.SPECTRUM_MAX_STEPS) in message
+
+
+def test_spectrum_walk_limit_is_inclusive(monkeypatch):
+    # (6, 2, 4) has 22 necklaces, each walked over N + 12 drift pairs
+    monkeypatch.setattr(spectral, "SPECTRUM_MAX_STEPS", 22 * 18)
+    code, out = run_cli("spectrum", "--n", "6", "--r", "2", "--degree", "4")
+    assert code == 0 and json.loads(out)["dim_cyclic"] == 22
+    monkeypatch.setattr(spectral, "SPECTRUM_MAX_STEPS", 22 * 18 - 1)
+    message = assert_usage_error("spectrum", "--n", "6", "--r", "2", "--degree", "4")
+    assert "22 necklaces" in message and "above 395" in message
+
+
 def test_count_triples():
     code, out = run_cli("params", "--n", "12", "--r", "2")
     data = json.loads(out)
@@ -391,3 +410,21 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["E0_reduced"] == 20.0
+
+
+def test_exact_commands_never_import_numpy():
+    # each handler imports its own route: `params` and `spectrum` run on
+    # `model`, `polyalg` and `spectral` alone, and only the oracle loads numpy
+    code = """
+import contextlib, io, sys
+from tcsm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["params", "--n", "6", "--r", "2"]) == 0
+    assert main(["spectrum", "--n", "7", "--r", "2", "--degree", "6"]) == 0
+assert "numpy" not in sys.modules, "params or spectrum loaded numpy"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify-ground", "--n", "6", "--r", "2", "--samples", "50"]) == 0
+assert "numpy" in sys.modules, "verify-ground ran without numpy"
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

@@ -33,6 +33,13 @@ def test_derive_params_examples():
     assert (p.k, p.g, p.big_g) == (0, 2.0, 4.0)
 
 
+def test_params_are_immutable():
+    p = derive_params(6, 2, beta=1.0)
+    with pytest.raises(AttributeError):
+        p.n = 7
+    assert p.n == 6
+
+
 def test_coupling_relations():
     for beta in (0.5, 1.0, 2.5, 3.5):
         p = derive_params(8, 2, beta=beta)

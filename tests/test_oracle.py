@@ -560,6 +560,20 @@ def test_sampling_acceptance_rate():
     assert rate > 0.9
 
 
+def test_report_is_immutable_and_keeps_its_fields():
+    p = derive_params(6, 2, beta=1.0)
+    report = verify_eigenstate(p, StateSpec(GROUND), count=50, predicted=ground_energy_physical(p))
+    with pytest.raises(AttributeError):
+        report.verdict = FAIL
+    d = report.to_dict()
+    assert type(d) is dict and d["verdict"] == PASS
+    assert list(d) == [
+        "state", "samples", "energy_mean", "energy_stddev", "max_abs_dev", "rounding_multiple",
+        "reduced_mean", "predicted", "predicted_reduced", "verdict", "unit_note",
+        "node_rejections",
+    ]
+
+
 def test_conversion_is_two():
     # two published derivations of this constant disagree by a factor 2; the
     # oracle measures it from the r=1 e1 level, 1 + 2*beta reduced units

@@ -14,6 +14,7 @@ from tcsm.polyalg import (
     LaurentPoly,
     _necklace_walk,
     basis,
+    count_necklaces,
     elementary_symmetric,
     exact_divide,
     monomial_symmetric,
@@ -324,6 +325,20 @@ def test_necklaces_match_burnside_count(n, total):
     counts = [fixed_content_count(lam, n) for lam in partitions(n, n)]
     assert sum(counts) == total
     assert [len(necklaces(lam, n)) for lam in partitions(n, n)] == counts
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_count_necklaces_matches_walk_and_reference(n):
+    for d in range(-1, 12):
+        walked = sum(len(necklaces(lam, n)) for lam in partitions(d, n)) if d >= 0 else 0
+        assert count_necklaces(n, d) == walked == (necklace_count(n, d) if d >= 0 else 0), d
+
+
+@pytest.mark.parametrize("n, total", [(12, 112_720), (13, 400_024), (16, 18_784_170)])
+def test_count_necklaces_at_degree_n(n, total):
+    # the per-content Burnside counts, summed over the partitions, with no walk
+    assert count_necklaces(n, n) == total == necklace_count(n, n)
+    assert sum(fixed_content_count(lam, n) for lam in partitions(n, n)) == total
 
 
 def test_necklaces_at_large_n():
