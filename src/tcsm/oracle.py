@@ -264,23 +264,22 @@ def sample_positions(
     can be sampled.  Drawn exactly, with no rejection: the cyclic spacings
     are floor + (L - N floor) * Dirichlet(1, ..., 1), the first point sits
     at a uniform rotation and a uniform permutation labels the points.
-    The sampler draws once.  Every row is still checked against the floor,
-    and a row that fails, which only rounding can make it do, is dropped,
-    not redrawn; SamplingError if no row is left.  Deterministic given the
-    seed.  Shape (kept, N); when every row is kept, kept = count and the
-    result is the transposed view of a sites-first (N, count) array, so
-    `local_energy_batch` takes it without a copy.
+    The sampler draws once: a row below the floor, which only rounding can
+    make, is dropped, not redrawn; SamplingError if no row is left.
+    Deterministic given the seed.  Shape (kept, N): with every row kept,
+    the transposed view of the buffer below, read without a copy.
 
     The draw is built sites first in one (N, count) buffer: the spacings,
     their cumulative sums down the sites axis (the same sequential sums as
     a per-row cumsum) and the rotation.  Every position then lies in
     [0, 2L), as the first N - 1 spacings sum to less than L, and subtracting
-    L from those at or above L is exact (Sterbenz), so it equals `% L`.
-    Only a floor at the rounding level of L lets the rounded spacings
-    overshoot L; `% L` is applied then.  Before the labels are permuted,
-    each row is a rotation of its sorted order, so the floor check takes
-    O(N) (`_presorted_min_separation`).  The generator is called as by a
-    per-row construction, so the draws do not depend on this layout.
+    L from those at or above L is exact (Sterbenz), so it equals `% L`;
+    only a floor at the rounding level of L lets the rounded spacings
+    overshoot L, and `% L` is applied then.  Unpermuted, each row is a
+    rotation of its sorted order, so the floor check takes O(N)
+    (`_presorted_min_separation`).  The generator is called as by a per-row
+    construction, so the draws do not depend on this layout, nor on its
+    blocks of BLOCK_ENTRIES entries, which bound the memory beyond xs.
     """
     if count < 1:
         raise ParameterDomainError("count must be >= 1")
@@ -296,21 +295,26 @@ def sample_positions(
     _keep_freed_pages()
     rng = np.random.default_rng(seed)
     floor = min_sep_frac * length
-    # the buffer comes before the gaps, so the gaps are freed last; in that
-    # order the local energy that follows faults in fewer new pages
+    # xs before the gaps: the local energy that follows faults in fewer pages
     xs = np.empty((n, count))
-    gaps = rng.exponential(size=(count, n))
+    width = max(1, BLOCK_ENTRIES // n)  # rows of gaps, columns of xs
     xs[0] = 0.0
-    np.divide(gaps[:, :-1].T, gaps.sum(axis=-1), out=xs[1:])
+    for lo in range(0, count, width):
+        gaps = rng.exponential(size=(min(width, count - lo), n))
+        np.divide(gaps[:, :-1].T, gaps.sum(axis=-1), out=xs[1:, lo : lo + width])
+        del gaps
     xs[1:] *= length - n * floor
     xs[1:] += floor
     for j in range(1, n):  # row by row: np.cumsum(axis=0) is several times slower
         xs[j] += xs[j - 1]
     xs += rng.uniform(0.0, length, size=count)
-    xs -= (xs >= length) * length
-    if (xs[-1] >= length).any():
-        xs %= length
-    ok = _presorted_min_separation(xs, length) >= floor
+    ok = np.empty(count, dtype=bool)
+    for lo in range(0, count, width):
+        block = xs[:, lo : lo + width]
+        block -= (block >= length) * length
+        if (block[-1] >= length).any():
+            block %= length
+        ok[lo : lo + width] = _presorted_min_separation(block, length) >= floor
     rng.permuted(xs, axis=0, out=xs)
     if ok.all():
         return xs.T

@@ -14,14 +14,11 @@ are stable.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, repeat
 from math import comb, gcd
 from operator import add, neg
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class DivisionError(ArithmeticError):
@@ -331,13 +328,11 @@ def _necklace_walk(partition: tuple[int, ...], nvars: int) -> Iterator[tuple[int
     """
     if nvars == 0:
         return
-    counts = Counter(partition)
-    counts[0] += nvars - len(partition)
-    values = sorted((v for v in counts if counts[v]), reverse=True)
-    left = [counts[v] for v in values]  # by rank; rank 0 is the largest value
+    word = [*sorted(partition, reverse=True), *repeat(0, nvars - len(partition))]
+    values = sorted(set(word), reverse=True)
+    left = list(map(word.count, values))  # by rank; rank 0 is the largest value
     n, k = nvars, len(values)
     a = [0] * n  # the word, as ranks
-    word = [values[0]] * n
     if n == 1:
         yield 0, word
         return
@@ -381,14 +376,13 @@ SYMMETRIC = "symmetric"
 CYCLIC = "cyclic"
 
 
-@dataclass(frozen=True)
-class BasisSet:
+class BasisSet(NamedTuple):
     """Orbit-sum basis of homogeneous degree-d polynomials.
 
     Elements have pairwise disjoint monomial support (each monomial lies in
     exactly one orbit), so exact projection is coefficient lookup.  The
     labels are enumerated up front; the element polynomials are built on
-    first use, since the pencil reads only the labels.
+    each use, since the pencil reads only the labels.
     """
 
     kind: str
@@ -396,7 +390,7 @@ class BasisSet:
     degree: int
     labels: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @property
     def elements(self) -> tuple[LaurentPoly, ...]:
         if self.kind == SYMMETRIC:
             return tuple(monomial_symmetric(lam, self.nvars) for lam in self.labels)

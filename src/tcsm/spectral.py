@@ -317,19 +317,17 @@ class PencilBlock(NamedTuple):
         return len(self.sym_basis)
 
 
-def _split_run(lam: tuple[int, ...], low: int, high: int, index: dict, bits: int) -> int:
-    """The packed run of a pair (low, high) in lam; lam and the partitions
-    that index maps are padded with zeros to N parts."""
-    rest = list(lam)
-    rest.remove(low)
-    rest.remove(high)
-    total = low + high
-    return sum(
-        (total - 2 * lo) * (1 if lo == low else 2)
-        << bits * index[tuple(sorted(rest + [total - lo, lo], reverse=True))]
-        for lo in range(low + 1)
-        if 2 * lo != total
-    )
+def _row_entries(packed: int, bits: int) -> dict[int, int]:
+    """A packed row as column -> value, jumping to each nonzero column."""
+    mask, row, j = (1 << bits) - 1, {}, 0
+    while packed:
+        skip = ((packed & -packed).bit_length() - 1) // bits
+        packed >>= bits * skip
+        j += skip
+        row[j] = packed & mask
+        packed >>= bits
+        j += 1
+    return row
 
 
 def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
@@ -339,35 +337,40 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     (m - n) times
         z_a^m z_b^n + 2 sum_{k=1}^{m-n-1} z_a^{m-k} z_b^{n+k} + z_a^n z_b^m.
     So row rho of A1 gains (m - n) * w for every split m + n = rho_a + rho_b
-    with n <= min(rho_a, rho_b), where w is 1 at the ends of the run
-    (n = min(rho_a, rho_b)) and 2 inside it; the column is the partition of
-    rho with (rho_a, rho_b) replaced by (m, n).  That run depends only on
-    rho's partition and the pair's two values; it is packed into one int (see
-    `PencilBlock`).  Along `_necklace_walk` a row is the prefix sum over the
-    positions b of the runs of the pairs (a < b, b) ending there, recomputed
-    only from the necklace's first change on.  Each distinct row is counted
-    and unpacked once.  Each symmetric element is a sum of flat cyclic orbit
-    sums, so E and A0 follow from each necklace's partition.
+    with n <= min(rho_a, rho_b), w 1 at the ends of the run and 2 inside;
+    the column is rho's partition with (rho_a, rho_b) replaced by (m, n),
+    found by a key that packs the multiplicities in base N + 1, four digits
+    of which a split edits.  A run depends only on the partition and the
+    pair's values and is packed into one int (see `PencilBlock`).  Along
+    `_necklace_walk` a row is the prefix sum over the positions b of the
+    runs of the pairs (a < b, b) ending there, recomputed from the
+    necklace's first change on; each distinct row is counted and unpacked
+    once.  E and A0 follow from each necklace's partition.
     """
     if degree < 1:
         raise ParameterDomainError("degree must be >= 1")
     n, width = op.params.n, degree + 1
     sym = basis(SYMMETRIC, n, degree)
     padded = [lam + (0,) * (n - len(lam)) for lam in sym.labels]  # N parts each
-    index = {lam: j for j, lam in enumerate(padded)}
     bits = (2 * degree * len(op.drift_pairs)).bit_length()  # B
-    mask = (1 << bits) - 1
+    place = [(n + 1) ** v for v in range(width)]  # digit v of a key
+    keys = [sum(map(place.__getitem__, lam)) for lam in padded]
+    low_bit = {key: bits * j for j, key in enumerate(keys)}  # column j's first bit
     ending = [[] for _ in range(n)]  # ending[b]: each pair's a < b
     for a, b in op.drift_pairs:
         ending[max(a, b)].append(min(a, b))
     acc = [0] * (n + 1)  # acc[b]: runs of the pairs ending before b
     rows = []
-    for lam in padded:
-        # run[x][y]: the packed run of a pair of values x, y in lam
+    for lam, key in zip(padded, keys):
+        # run[x][y]: the packed run of values x <= y; its end (y, x) is lam
         run = [[0] * width for _ in range(width)]
         for x, y in combinations_with_replacement(sorted(set(lam)), 2):
             if x < y or lam.count(x) > 1:
-                run[x][y] = run[y][x] = _split_run(lam, x, y, index, bits)
+                rest, total = key - place[x] - place[y], x + y
+                s = y - x << low_bit[key]
+                for lo in range(x):
+                    s += 2 * (total - 2 * lo) << low_bit[rest + place[lo] + place[total - lo]]
+                run[x][y] = run[y][x] = s
         sums = {}  # packed row -> its necklaces
         for t, word in _necklace_walk(lam, n):
             s = acc[t]
@@ -377,16 +380,7 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
                     s += at_b[word[a]]
                 acc[b + 1] = s
             sums[s] = sums.get(s, 0) + 1
-        unpacked = []
-        for packed, m in sums.items():
-            row, j = {}, 0
-            while packed:
-                if packed & mask:
-                    row[j] = packed & mask
-                packed >>= bits
-                j += 1
-            unpacked.append((row, m))
-        rows.append(tuple(unpacked))
+        rows.append(tuple([(_row_entries(packed, bits), m) for packed, m in sums.items()]))
     dim_cyc = sum(m for stored in rows for _, m in stored)
     return PencilBlock(degree=degree, sym_basis=sym, dim_cyc=dim_cyc, rows=tuple(rows))
 
@@ -467,11 +461,10 @@ SPECTRUM_MAX_DIM = 640
 # The most steps `build_pencil`'s necklace walk may take for one block.  Each
 # necklace recomputes its row over at most N positions and P drift pairs, so
 # the walk takes at most dim_cyclic * (N + P) steps.  On a 2-vCPU Xeon blocks
-# ran 2.6 to 25 million steps a second: slowest at small r and high degree,
-# where unpacking many distinct rows adds to each necklace, as at (10,1,20),
-# and fastest with many pairs, as at (60,29,4).  So a block at the limit takes
-# about 4 to 40 s.  (13,6,13) takes 36.4 million steps; (16,3,16), with
-# 18,784,170 necklaces, would take 1.2 billion, and (20,10,20), with
+# ran 5.9 to 45 million steps a second: slowest at small r and high degree,
+# with long, mostly distinct rows, as at (10,1,20), and fastest with many
+# pairs, as at (60,29,4).  So a block at the limit takes about 2 to 17 s.  (13,6,13) takes 36.4 million steps; (16,3,16),
+# with 18,784,170 necklaces, would take 1.2 billion, and (20,10,20), with
 # 3,446,167,860, 724 billion.
 SPECTRUM_MAX_STEPS = 100_000_000
 

@@ -414,7 +414,8 @@ def test_module_entry_point():
 
 def test_exact_commands_never_import_numpy():
     # each handler imports its own route: `params` and `spectrum` run on
-    # `model`, `polyalg` and `spectral` alone, and only the oracle loads numpy
+    # `model`, `polyalg` and `spectral` alone, and only the oracle loads
+    # numpy; no record of theirs needs `dataclasses` (and `inspect` with it)
     code = """
 import contextlib, io, sys
 from tcsm.cli import main
@@ -422,6 +423,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["params", "--n", "6", "--r", "2"]) == 0
     assert main(["spectrum", "--n", "7", "--r", "2", "--degree", "6"]) == 0
 assert "numpy" not in sys.modules, "params or spectrum loaded numpy"
+assert "dataclasses" not in sys.modules, "params or spectrum loaded dataclasses"
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["verify-ground", "--n", "6", "--r", "2", "--samples", "50"]) == 0
 assert "numpy" in sys.modules, "verify-ground ran without numpy"

@@ -445,6 +445,39 @@ def test_sampler_draws_equal_the_sites_last_reference():
     assert None in dropped["no room"]
 
 
+def test_blocked_sampler_draws_equal_the_reference(monkeypatch):
+    # blocks of 5 rows of gaps and 5 columns of the wrap and floor check:
+    # 7 rows end in a ragged block, and at the rounding floor some rows
+    # are dropped from blocks that keep others
+    dropped = set()
+    for n in (3, 9, 64):
+        p = derive_params(n, 1)
+        monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 5 * n + n - 1)
+        for frac in (1e-3, (1 - 1e-12) / n):
+            for seed in range(3):
+                for count in (1, 7, 500):
+                    dropped.add(assert_same_draws(p, count, seed, frac))
+    assert 0 in dropped and max(dropped) > 0
+
+
+def test_sampler_peak_memory_is_its_result_plus_one_block():
+    # (500, 2000) runs in 4 blocks of at most BLOCK_ENTRIES entries.  A
+    # block's floor check holds 17 bytes an entry (the differences, the
+    # descent mask and its multiple of L), and the rotations and kept mask
+    # 9 bytes a sample; the whole (count, N) gaps array alone would be 8 MB
+    n, count = 500, 2000
+    p = derive_params(n, 16)
+    sample_positions(p, 10, seed=1)
+    tracemalloc.start()
+    try:
+        x = sample_positions(p, count, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n * count > 3 * oracle.BLOCK_ENTRIES and x.shape == (count, n)
+    assert peak <= x.nbytes + 18 * oracle.BLOCK_ENTRIES + 9 * count + 2**16, peak - x.nbytes
+
+
 class RiggedGenerator:
     """Replays given gap rows and rotations in order and shuffles like a
     seeded generator, to reach rounding cases an exponential draw meets
@@ -486,6 +519,17 @@ def test_sampler_matches_reference_where_spacings_overshoot_the_circle(monkeypat
     starts = [0.25, bad_start, 0.5]
     monkeypatch.setattr(np.random, "default_rng", lambda seed: RiggedGenerator(gaps, starts))
     assert assert_same_draws(p, 3, 1, frac) == (0 if frac == 1e-300 else 1)
+
+
+def test_blocked_sampler_wraps_the_overshooting_block(monkeypatch):
+    # one column a block: the row whose last point lands on 2L is wrapped
+    # by `% L` in its own block, and the rows around it are left as they are
+    p = derive_params(3, 1, length=1.0)
+    gaps = [[1.0, 2.0, 3.0], [0.0022693266812281823, 0.5503428726390482, 1e-300], [0.5, 0.25, 2.0]]
+    starts = [0.25, np.nextafter(1.0, 0.0), 0.5]
+    monkeypatch.setattr(oracle, "BLOCK_ENTRIES", 3)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: RiggedGenerator(gaps, starts))
+    assert assert_same_draws(p, 3, 1, 1e-300) == 0
 
 
 def test_presorted_min_separation_equals_sorted_minimum():

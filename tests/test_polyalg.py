@@ -1,3 +1,5 @@
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, groupby, permutations
@@ -247,6 +249,19 @@ def test_symmetric_basis_dims():
     assert len(basis(SYMMETRIC, 3, 2)) == 2  # partitions 2, 1+1
     assert len(basis(SYMMETRIC, 6, 6)) == 11
     assert len(basis(CYCLIC, 6, 1)) == 1
+
+
+def test_basis_set_is_an_immutable_record():
+    b = basis(SYMMETRIC, 4, 2)
+    assert (b.kind, b.nvars, b.degree, b.labels, len(b)) == (SYMMETRIC, 4, 2, ((2,), (1, 1)), 2)
+    assert repr(b) == "BasisSet(kind='symmetric', nvars=4, degree=2, labels=((2,), (1, 1)))"
+    for name in ("kind", "labels", "elements"):
+        with pytest.raises(AttributeError):
+            setattr(b, name, None)
+    assert b == basis(SYMMETRIC, 4, 2) and hash(b) == hash(basis(SYMMETRIC, 4, 2))
+    assert copy.deepcopy(b) == b and pickle.loads(pickle.dumps(b)) == b
+    assert b.elements == (monomial_symmetric((2,), 4), monomial_symmetric((1, 1), 4))
+    assert basis(CYCLIC, 3, 2).elements[0] == LaurentPoly(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
 
 
 def compositions(d, parts):

@@ -507,6 +507,27 @@ def test_pencil_matches_sorted_key_reference(n):
                 assert solve_pencil(block, beta) == solve_pencil(ref, beta)
 
 
+# N 4-7 at r = 1 and d 8..2N (d <= 7 is above): few pairs, so the rows are
+# sparse and span many columns
+@pytest.mark.parametrize("n", range(4, 8))
+def test_pencil_matches_sorted_key_reference_at_high_degree(n):
+    op = operator(n, 1)
+    for degree in range(8, 2 * n + 1):
+        block, ref = build_pencil(op, degree), sorted_key_build_pencil(op, degree)
+        assert block.dim_cyc == ref.dim_cyc
+        assert _stored_rows(block) == _stored_rows(ref)
+        assert solve_pencil(block, Fraction(7, 3)) == solve_pencil(ref, Fraction(7, 3))
+
+
+def test_row_entries_skip_zero_columns():
+    # leading zero columns, gaps between entries, a full-width entry in the top column
+    bits = 5
+    for row in ({}, {0: 1}, {3: 7}, {0: 31, 1: 1}, {2: 1, 9: 16, 10: 3, 40: 31}, {64: 2}):
+        packed = sum(v << bits * j for j, v in row.items())
+        got = spectral._row_entries(packed, bits)
+        assert got == row and list(got) == sorted(row)
+
+
 @pytest.mark.parametrize(
     "n, r, degree",
     [(n, r, d) for n in range(3, 9) for r in sorted({1, n // 2 + 1}) for d in range(1, 9)]
