@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
 from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
@@ -142,15 +141,19 @@ def interaction_pairs(params: ModelParams) -> list[tuple[int, int]]:
 
     A pair interacts iff its cyclic distance is in 1..r_eff.  When N is
     even and r_eff = N/2 the antipodal pairs appear once, not twice.  The
-    partners b > a of site a form two ranges, b - a in 1..r_eff and
-    N - b + a in 1..r_eff, the second starting past the first, so the pairs
-    come out in order and unique: no set is built and nothing is sorted.
+    partners b > a of site a are a + 1..a + r_eff, cut at N - 1 for the
+    last r_eff sites, then, for the first r_eff sites only, the wrap partners
+    a + max(r_eff + 1, N - r_eff)..N - 1.  So the pairs come in three blocks
+    of sites (2 r_eff <= N), each in order: no set, no sort.
     """
     n, r_eff = params.n, params.r_eff
-    pairs = []
-    for a in range(n):
-        pairs += zip(repeat(a), range(a + 1, min(n, a + r_eff + 1)))
-        pairs += zip(repeat(a), range(max(a + r_eff + 1, a + n - r_eff), n))
+    wrap = max(r_eff + 1, n - r_eff)  # offset of a site's first wrap partner
+    near = range(1, r_eff + 1)
+    pairs = [
+        (a, b) for a in range(r_eff) for b in (*range(a + 1, a + r_eff + 1), *range(a + wrap, n))
+    ]
+    pairs += [(a, a + d) for a in range(r_eff, n - r_eff) for d in near]
+    pairs += [(a, b) for a in range(n - r_eff, n) for b in range(a + 1, n)]
     return pairs
 
 
@@ -206,9 +209,9 @@ TABLE1_ROWS = {(6, 2): 20, (7, 2): 21, (8, 2): 24, (8, 3): 56, (9, 2): 27, (9, 3
 def ground_energy_coeff(params: ModelParams) -> Fraction:
     """Ground-state energy in units of beta^2 pi^2 / L^2, exact rational."""
     n = params.n
-    if params.truncated:
+    if params.truncated:  # n (r(r+1)/2 + k(k+1)/6), over one denominator
         r, k = params.r, params.k
-        return n * (Fraction(r * (r + 1), 2) + Fraction(k * (k + 1), 6))
+        return Fraction(n * (3 * r * (r + 1) + k * (k + 1)), 6)
     return Fraction(n * (n * n - 1), 6)
 
 

@@ -181,8 +181,12 @@ def _rotations(n: int, pairs, terms: dict):
     compared as integer ratios); g = N always does.  `orbits` lists p's
     terms orbit by orbit, each orbit's first term in p's term order and then
     its images under R^g, R^2g, ... (see `_pair_orbits` for the pairs).
+    The operator's pair tuple keys `_pair_orbits`'s cache as it is, so each
+    check finds its entry by identity; list pairs, which `build_pencil` also
+    accepts, are copied into tuples.
     """
-    pairs = tuple(map(tuple, pairs))  # hashable, for `_pair_orbits`'s cache
+    if not isinstance(pairs, tuple) or pairs and not isinstance(pairs[0], tuple):
+        pairs = tuple(map(tuple, pairs))
     for g in range(1, n + 1):
         if n % g:
             continue
@@ -463,9 +467,9 @@ SPECTRUM_MAX_DIM = 640
 # the walk takes at most dim_cyclic * (N + P) steps.  On a 2-vCPU Xeon blocks
 # ran 5.9 to 45 million steps a second: slowest at small r and high degree,
 # with long, mostly distinct rows, as at (10,1,20), and fastest with many
-# pairs, as at (60,29,4).  So a block at the limit takes about 2 to 17 s.  (13,6,13) takes 36.4 million steps; (16,3,16),
-# with 18,784,170 necklaces, would take 1.2 billion, and (20,10,20), with
-# 3,446,167,860, 724 billion.
+# pairs, as at (60,29,4).  So a block at the limit takes about 2 to 17 s.
+# (13,6,13) takes 36.4 million steps; (16,3,16), with 18,784,170 necklaces,
+# would take 1.2 billion, and (20,10,20), with 3,446,167,860, 724 billion.
 SPECTRUM_MAX_STEPS = 100_000_000
 
 

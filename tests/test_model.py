@@ -211,6 +211,21 @@ def test_ground_energy_limits():
                 assert ground_energy_coeff(p) == full
 
 
+def test_ground_energy_coeff_matches_its_two_term_form():
+    # one Fraction over the denominator 6 equals n (r(r+1)/2 + k(k+1)/6),
+    # and n(n^2 - 1)/6 once every pair interacts
+    for n in range(3, 65):
+        for r in range(1, n + 1):
+            p = derive_params(n, r)
+            got = ground_energy_coeff(p)
+            assert isinstance(got, Fraction), (n, r)
+            if p.truncated:
+                want = n * (Fraction(r * (r + 1), 2) + Fraction(p.k * (p.k + 1), 6))
+            else:
+                want = Fraction(n * (n * n - 1), 6)
+            assert got == want, (n, r)
+
+
 def test_reduced_includes_beta():
     p = derive_params(6, 2, beta=2.0)
     assert ground_energy_reduced(p) == pytest.approx(80.0)

@@ -801,6 +801,37 @@ def test_exact_checks_at_n24():
         assert boost_shift_check(op, enm1, q, ONE).matches == "operator"
 
 
+def test_checks_agree_on_tuple_and_list_pairs():
+    # the operator's tuple of tuples keys `_pair_orbits`'s cache as it is;
+    # lists of lists are copied into tuples first, and give the same results
+    for n, r in [(8, 3), (12, 4)]:
+        built = operator(n, r)
+        listed = H1Operator(params=built.params, drift_pairs=[list(pair) for pair in built.drift_pairs])
+        e1, enm1, en = states(n)
+        rb = 2 * r
+        named = {
+            "e1": e1,
+            "enm1": enm1,
+            "en": en,
+            "combo": e1 * enm1 - en.scale(Fraction(n, 1 + rb)),
+            "kappa0": e1 * power_sum(-1, n) - LaurentPoly.constant(n, Fraction(n, 1 + rb)),
+        }
+        results = []
+        for op in (built, listed):
+            spectral._pair_orbits.cache_clear()
+            results.append({
+                name: (
+                    exact_eigencheck(op, p, ONE),
+                    parity_partner(op, p, ONE),
+                    [boost_shift_check(op, p, q, ONE) for q in (-1, 1)],
+                )
+                for name, p in named.items()
+            })
+        assert results[0] == results[1], (n, r)
+        assert results[0]["kappa0"][1].self_paired, (n, r)
+        assert [c.matches for c in results[0]["enm1"][2]] == ["operator"] * 2, (n, r)
+
+
 def test_boost_q0_is_identity():
     op = operator(6, 2)
     e1 = elementary_symmetric(1, 6)
