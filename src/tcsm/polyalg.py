@@ -14,9 +14,10 @@ are stable.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb, gcd
+from math import comb, factorial, gcd
 from operator import add, neg
 from typing import Iterable, Iterator, NamedTuple
 
@@ -305,11 +306,33 @@ def count_necklaces(nvars: int, degree: int) -> int:
     if degree < 0:
         return 0
     g = gcd(nvars, degree)
+    return _burnside(nvars, g, lambda t: comb(nvars // t + degree // t - 1, degree // t))
+
+
+def count_partition_necklaces(partition: tuple[int, ...], nvars: int) -> int:
+    """The number of necklaces of the zero-padded partition, as
+    `count_necklaces` counts them: a rotation of order t fixes a word exactly
+    when the word is t copies of a block, so when t divides every
+    multiplicity m_i (zeros included), and the blocks number the multinomial
+    (N/t)! / prod (m_i/t)!."""
+    mults = Counter(partition).values()
+    zeros = nvars - len(partition)
+
+    def fixed(t):
+        total = factorial(nvars // t) // factorial(zeros // t)
+        for m in mults:
+            total //= factorial(m // t)
+        return total
+
+    return _burnside(nvars, gcd(zeros, *mults), fixed)
+
+
+def _burnside(nvars: int, g: int, fixed) -> int:
+    """(1/N) sum over t | g of phi(t) fixed(t), phi Euler's totient."""
     total = 0
     for t in range(1, g + 1):
         if g % t == 0:
-            phi = sum(gcd(k, t) == 1 for k in range(1, t + 1))
-            total += phi * comb(nvars // t + degree // t - 1, degree // t)
+            total += sum(gcd(k, t) == 1 for k in range(1, t + 1)) * fixed(t)
     return total // nvars
 
 

@@ -14,14 +14,18 @@ The operator preserves homogeneous degree but, for 1 < r < c, maps fully
 symmetric polynomials only into cyclic-invariant ones, so each degree
 block is a rectangular pencil (A0 + beta A1) v = lambda E v with E the
 exact embedding of the symmetric basis into the cyclic-invariant basis.
-`build_pencil` stores each partition's distinct sparse integer A1 rows with
-their necklace counts, each packed into one int along the necklace walk.
-Each block is triangular in dominance order, so `solve_pencil` solves it
-exactly, with no threshold.  `_apply_ints` applies the operator to one
-polynomial in integers, at one packed code per orbit of the rotations that
-fix both p and the pair set.  The exact eigen, parity and boost checks
-compare that image with p on the representatives, by cross-multiplication.
-`apply_H1` is its Fraction view, as a LaurentPoly; the generic Laurent ring
+`build_pencil` gives each partition's distinct sparse integer A1 rows with
+their necklace counts, each packed into one int along the partition's own
+necklace walk, which runs only once the solve reads that partition.  Each
+block is triangular in dominance order, so it is solved exactly, with no
+threshold, from the rows of the partitions that may lead an eigenvector
+(heads) and of those after a level's first head: `spectrum_report` walks a
+few hundred of the 400,024 necklaces at (13,3,13).  `solve_pencil` reads
+every row, for the spurious values too.  `_apply_ints` applies the operator
+to one polynomial in integers, at one packed code per orbit of the
+rotations that fix both p and the pair set.  The exact eigen, parity and
+boost checks compare that image with p on the representatives, by
+cross-multiplication.  `apply_H1` is its Fraction view, as a LaurentPoly; the generic Laurent ring
 operations and `polyalg.exact_divide` are its reference in the tests.
 """
 
@@ -30,10 +34,10 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, repeat
+from itertools import accumulate, combinations_with_replacement, islice, repeat
 from math import gcd, lcm, pi
 from operator import itemgetter, mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import ModelParams, ParameterDomainError, closed_form_levels, interaction_pairs
 from .polyalg import (
@@ -44,6 +48,7 @@ from .polyalg import (
     _necklace_walk,
     basis,
     count_necklaces,
+    count_partition_necklaces,
     partition_count,
 )
 
@@ -299,12 +304,68 @@ def exact_eigencheck(op: H1Operator, p: LaurentPoly, beta) -> Fraction:
     return Fraction(v0 * coeff.denominator, scale * coeff.numerator)
 
 
+class PencilRows:
+    """Each partition's distinct A1 rows, as column -> value, with their
+    necklace counts.  A partition's rows come from its own walk, run only as
+    far as they are read and kept: `scan(k)` yields them in order of first
+    sighting, and `rows[k]` finishes the walk and gives (row, count) pairs.
+    Rows passed in are complete, with no walk behind them."""
+
+    def __init__(self, rows, walks=None, bits=0):
+        self._found = [[list(pair) for pair in stored] for stored in rows]
+        # walks[k]: (packed row, necklaces) for each step of k's walk, and
+        # index[k]: packed row -> its place in found[k]; both None once done
+        self._walks = list(walks) if walks is not None else [None] * len(self._found)
+        self._index = [{} for _ in self._found]
+        self._bits = bits
+
+    def __len__(self) -> int:
+        return len(self._found)
+
+    def __getitem__(self, k: int) -> tuple[tuple[dict[int, int], int], ...]:
+        while self._step(k):
+            pass
+        return tuple(map(tuple, self._found[k]))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def scan(self, k: int) -> Iterator[dict[int, int]]:
+        found, i = self._found[k], 0
+        while i < len(found) or self._step(k):
+            yield found[i][0]
+            i += 1
+
+    def head(self, k: int) -> int | None:
+        """A1[rho, k] when every row of partition k has the same entry in
+        column k, else None, read at the first row that differs."""
+        rows = self.scan(k)
+        first = next(rows).get(k, 0)
+        return first if all(row.get(k, 0) == first for row in rows) else None
+
+    def _step(self, k: int) -> bool:
+        """Walk k up to its next distinct row; False once the walk is done."""
+        walk = self._walks[k]
+        if walk is None:
+            return False
+        found, index = self._found[k], self._index[k]
+        for packed, m in walk:
+            i = index.get(packed)
+            if i is None:
+                index[packed] = len(found)
+                found.append([_row_entries(packed, self._bits), m])
+                return True
+            found[i][1] += m
+        self._walks[k] = self._index[k] = None
+        return False
+
+
 class PencilBlock(NamedTuple):
     """Exact degree-d block: A = A0 + beta*A1 maps symmetric coordinates into
     the cyclic-invariant basis of `dim_cyc` necklaces; E is the embedding.
     A necklace's row of E (of A0) is 1 (sum_j lambda_j^2) at its partition
-    and 0 elsewhere; `rows[k]` holds partition k's distinct integer A1 rows,
-    as column -> value, each with its number of necklaces.
+    and 0 elsewhere; `rows` gives each partition's distinct integer A1 rows,
+    with their necklace counts (see `PencilRows`).
 
     Each entry lies in 1..2dP, P the number of drift pairs: a pair's run
     meets a column at most once, with weight in 1..2 (rho_a + rho_b) <= 2d.
@@ -314,7 +375,7 @@ class PencilBlock(NamedTuple):
     degree: int
     sym_basis: BasisSet
     dim_cyc: int
-    rows: tuple[tuple[tuple[dict[int, int], int], ...], ...]
+    rows: PencilRows
 
     @property
     def dim_sym(self) -> int:
@@ -335,7 +396,8 @@ def _row_entries(packed: int, bits: int) -> dict[int, int]:
 
 
 def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
-    """Degree-d block read off each partition's necklaces, in integers.
+    """Degree-d block whose rows are read off each partition's necklaces, in
+    integers, as the solve asks for them.
 
     For m > n the drift of pair (a, b) maps z_a^m z_b^n + z_a^n z_b^m to
     (m - n) times
@@ -346,10 +408,14 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     found by a key that packs the multiplicities in base N + 1, four digits
     of which a split edits.  A run depends only on the partition and the
     pair's values and is packed into one int (see `PencilBlock`).  Along
-    `_necklace_walk` a row is the prefix sum over the positions b of the
-    runs of the pairs (a < b, b) ending there, recomputed from the
-    necklace's first change on; each distinct row is counted and unpacked
-    once.  E and A0 follow from each necklace's partition.
+    the partition's own `_necklace_walk` a row is the prefix sum over the
+    positions b of the runs of the pairs (a < b, b) ending there, recomputed
+    from the necklace's first change on; each distinct row is counted and
+    unpacked once.  When every pair interacts, H1 maps symmetric
+    polynomials to symmetric ones, so all of a partition's necklaces share
+    one row: the walk stops at the first, the padded partition, and counts
+    the rest (`count_partition_necklaces`).  E and A0 follow from each
+    necklace's partition, and dim_cyc from `count_necklaces`.
     """
     if degree < 1:
         raise ParameterDomainError("degree must be >= 1")
@@ -363,11 +429,13 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
     ending = [[] for _ in range(n)]  # ending[b]: each pair's a < b
     for a, b in op.drift_pairs:
         ending[max(a, b)].append(min(a, b))
-    acc = [0] * (n + 1)  # acc[b]: runs of the pairs ending before b
-    rows = []
-    for lam, key in zip(padded, keys):
+    # every pair once: H1 keeps symmetric polynomials symmetric
+    pairs = {(min(pair), max(pair)) for pair in op.drift_pairs}
+    full = len(op.drift_pairs) == len(pairs) == n * (n - 1) // 2
+
+    def walk(lam, key):
         # run[x][y]: the packed run of values x <= y; its end (y, x) is lam
-        run = [[0] * width for _ in range(width)]
+        run = [[0] * (lam[0] + 1) for _ in range(lam[0] + 1)]
         for x, y in combinations_with_replacement(sorted(set(lam)), 2):
             if x < y or lam.count(x) > 1:
                 rest, total = key - place[x] - place[y], x + y
@@ -375,18 +443,21 @@ def build_pencil(op: H1Operator, degree: int) -> PencilBlock:
                 for lo in range(x):
                     s += 2 * (total - 2 * lo) << low_bit[rest + place[lo] + place[total - lo]]
                 run[x][y] = run[y][x] = s
-        sums = {}  # packed row -> its necklaces
-        for t, word in _necklace_walk(lam, n):
+        acc = [0] * (n + 1)  # acc[b]: runs of the pairs ending before b
+        necklaces, m = _necklace_walk(lam, n), 1
+        if full:
+            necklaces, m = islice(necklaces, 1), count_partition_necklaces(lam, n)
+        for t, word in necklaces:
             s = acc[t]
             for b in range(t, n):
                 at_b = run[word[b]]
                 for a in ending[b]:
                     s += at_b[word[a]]
                 acc[b + 1] = s
-            sums[s] = sums.get(s, 0) + 1
-        rows.append(tuple([(_row_entries(packed, bits), m) for packed, m in sums.items()]))
-    dim_cyc = sum(m for stored in rows for _, m in stored)
-    return PencilBlock(degree=degree, sym_basis=sym, dim_cyc=dim_cyc, rows=tuple(rows))
+            yield s, m
+
+    rows = PencilRows([()] * len(keys), map(walk, padded, keys), bits)
+    return PencilBlock(degree=degree, sym_basis=sym, dim_cyc=count_necklaces(n, degree), rows=rows)
 
 
 class EigenPair(NamedTuple):
@@ -401,7 +472,29 @@ class PencilSolution(NamedTuple):
 
 
 def solve_pencil(block: PencilBlock, beta_value) -> PencilSolution:
-    """Every level of (A0 + beta A1) v = lambda E v, with its eigenspace, exactly.
+    """Every level of (A0 + beta A1) v = lambda E v, with its eigenspace,
+    exactly (see `_certify`), and the spurious values, read from every row
+    of the block."""
+    beta = Fraction(beta_value)
+    p, q = beta.numerator, beta.denominator
+    certified = _certify(block, beta)
+    # E^+ A averages each partition's rows over its necklaces, so it is lower
+    # triangular too, with diagonal D_k + beta (sum count A1[rho, k]) / (sum count)
+    diag = _diagonal(block)
+    size = [sum(m for _, m in rows) for rows in block.rows]
+    own = [sum(m * row.get(k, 0) for row, m in rows) for k, rows in enumerate(block.rows)]
+    square = Counter(Fraction(q * d * m + p * a, q * m) for d, m, a in zip(diag, size, own))
+    square.subtract(pr.value for pr in certified)
+    return PencilSolution(certified=certified, spurious=tuple(sorted(square.elements())))
+
+
+def _diagonal(block: PencilBlock) -> list[int]:
+    return [sum(x * x for x in lam) for lam in block.sym_basis.labels]
+
+
+def _certify(block: PencilBlock, beta: Fraction) -> tuple[EigenPair, ...]:
+    """The levels of the block, ascending, each with an exact basis of its
+    eigenspace.
 
     A split moves a pair's exponents apart, so a row of partition k reaches
     only partitions dominating it, at or before k in reverse lex order.  So
@@ -411,31 +504,28 @@ def solve_pencil(block: PencilBlock, beta_value) -> PencilSolution:
     head, each partition in turn adds its coordinate to the span of
     solutions, and each of its rows that does not vanish there cuts it by
     one dimension; beta = p/q and each row is scaled by q, in integers.
+    Rows are read only through the heads and `_eigenspace`, so a partition
+    neither reaches is never walked.
     """
-    beta = Fraction(beta_value)
     p, q = beta.numerator, beta.denominator
-    diag = [sum(x * x for x in lam) for lam in block.sym_basis.labels]
+    diag = _diagonal(block)
     heads: dict[int, list[int]] = {}  # q * level -> its heads
-    for k, rows in enumerate(block.rows):
-        if len({p * row.get(k, 0) for row, _ in rows}) == 1:
-            heads.setdefault(q * diag[k] + p * rows[0][0].get(k, 0), []).append(k)
+    for k, d in enumerate(diag):
+        a = block.rows.head(k) if p else 0
+        if a is not None:
+            heads.setdefault(q * d + p * a, []).append(k)
     certified = []
     for level, ks in sorted(heads.items()):
         for v in _eigenspace(block.rows, diag, p, q, level, ks):
             lead = next(c for c in v if c)
             certified.append(EigenPair(Fraction(level, q), tuple(Fraction(c, lead) for c in v)))
-    # E^+ A averages each partition's rows over its necklaces, so it is lower
-    # triangular too, with diagonal D_k + beta (sum count A1[rho, k]) / (sum count)
-    size = [sum(m for _, m in rows) for rows in block.rows]
-    own = [sum(m * row.get(k, 0) for row, m in rows) for k, rows in enumerate(block.rows)]
-    square = Counter(Fraction(q * d * m + p * a, q * m) for d, m, a in zip(diag, size, own))
-    square.subtract(pr.value for pr in certified)
-    return PencilSolution(certified=tuple(certified), spurious=tuple(sorted(square.elements())))
+    return tuple(certified)
 
 
-def _eigenspace(rows, diag, p: int, q: int, level: int, heads: list[int]) -> list[list[int]]:
+def _eigenspace(rows: PencilRows, diag, p: int, q: int, level: int, heads) -> list[list[int]]:
     """Integer basis of the eigenspace at lambda = level / q.  Once the span
-    is empty, only a later head of the level can start it again."""
+    is empty, no further row of the partition is read, and only a later head
+    of the level can start it again."""
     dim = len(diag)
     span: list[list[int]] = []
     for k in range(heads[0], dim):
@@ -443,13 +533,15 @@ def _eigenspace(rows, diag, p: int, q: int, level: int, heads: list[int]) -> lis
             break
         span.append([int(j == k) for j in range(dim)])
         shift = q * diag[k] - level
-        for row, _ in rows[k]:
+        for row in rows.scan(k):
             values = [shift * v[k] + p * sum(a * v[j] for j, a in row.items()) for v in span]
             cut = max((t for t, x in enumerate(values) if x), default=None)
             if cut is not None:
                 x, pv = values.pop(cut), span.pop(cut)
                 span = [_primitive([x * c - y * d for c, d in zip(v, pv)]) if y else v
                         for v, y in zip(span, values)]
+                if not span:
+                    break
     return span
 
 
@@ -462,14 +554,17 @@ def _primitive(v: list[int]) -> list[int]:
 # The solve is dense and grows about as their cube: on a 2-vCPU Xeon it took
 # 24 s for the 631 of (3,1,84), where every pair interacts; (20,10,20) has 627.
 SPECTRUM_MAX_DIM = 640
-# The most steps `build_pencil`'s necklace walk may take for one block.  Each
-# necklace recomputes its row over at most N positions and P drift pairs, so
-# the walk takes at most dim_cyclic * (N + P) steps.  On a 2-vCPU Xeon blocks
-# ran 5.9 to 45 million steps a second: slowest at small r and high degree,
-# with long, mostly distinct rows, as at (10,1,20), and fastest with many
-# pairs, as at (60,29,4).  So a block at the limit takes about 2 to 17 s.
-# (13,6,13) takes 36.4 million steps; (16,3,16), with 18,784,170 necklaces,
-# would take 1.2 billion, and (20,10,20), with 3,446,167,860, 724 billion.
+# The most steps `build_pencil`'s necklace walks may take for one block, were
+# every necklace walked.  Each necklace recomputes its row over at most N
+# positions and P drift pairs, so the walks take at most dim_cyclic * (N + P)
+# steps: an upper bound, counted before anything is walked, since the solve
+# walks only the partitions it reads (255 of the 400,024 necklaces at
+# (13,3,13), one per partition in the full regime).  On a 2-vCPU Xeon whole
+# walks ran 5.9 to 45 million steps a second: slowest at small r and high
+# degree, with long, mostly distinct rows, as at (10,1,20), and fastest with
+# many pairs, as at (60,29,4).  (13,6,13) counts 36.4 million steps;
+# (16,3,16), with 18,784,170 necklaces, 1.2 billion, and (20,10,20), with
+# 3,446,167,860, 724 billion.
 SPECTRUM_MAX_STEPS = 100_000_000
 
 
@@ -500,8 +595,15 @@ class SpectrumReport(NamedTuple):
 
 def spectrum_report(op: H1Operator, degree: int, beta_value: float) -> SpectrumReport:
     """The levels of one degree block, if it has at most SPECTRUM_MAX_DIM
-    partitions and its necklace walk at most SPECTRUM_MAX_STEPS steps, both
-    counted before anything is built."""
+    partitions and its necklace walks at most SPECTRUM_MAX_STEPS steps, both
+    counted before anything is built.
+
+    n_spurious is dim_symmetric less the certified vectors, with no row read
+    for it: an eigenvector at lambda is first nonzero at a head of lambda,
+    so lambda's eigenspace is no larger than its heads, and each head's
+    entry on the diagonal of E^+ A is lambda.  So the certified values are
+    part of that diagonal, and the rest of it is spurious (`solve_pencil`).
+    """
     n = op.params.n
     if partition_count(degree, n, SPECTRUM_MAX_DIM) > SPECTRUM_MAX_DIM:
         raise ParameterDomainError(
@@ -517,8 +619,8 @@ def spectrum_report(op: H1Operator, degree: int, beta_value: float) -> SpectrumR
             f"above {SPECTRUM_MAX_STEPS}, the limit of the necklace walk"
         )
     block = build_pencil(op, degree)
-    sol = solve_pencil(block, beta_value)
-    counts = Counter(pr.value for pr in sol.certified)
+    certified = _certify(block, Fraction(beta_value))
+    counts = Counter(pr.value for pr in certified)
     levels = closed_form_levels(op.params, Fraction(beta_value))
     return SpectrumReport(
         degree=degree,
@@ -527,7 +629,7 @@ def spectrum_report(op: H1Operator, degree: int, beta_value: float) -> SpectrumR
         eigenvalues=tuple(counts.items()),
         matched_levels={name: val for name, val in levels.items() if val in counts},
         momentum=float(degree) * 2.0 * pi / op.params.length,
-        n_spurious=len(sol.spurious),
+        n_spurious=block.dim_sym - len(certified),
     )
 
 

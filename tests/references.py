@@ -9,7 +9,7 @@ import numpy as np
 from tcsm.dual_paths import Dual2, _chain, dlog
 from tcsm.model import ParameterDomainError, interaction_pairs
 from tcsm.polyalg import SYMMETRIC, LaurentPoly, basis, necklaces
-from tcsm.spectral import H1Operator, PencilBlock
+from tcsm.spectral import H1Operator, PencilBlock, PencilRows, solve_pencil
 from tcsm.wavefunction import (
     BOOSTED,
     COMBO,
@@ -119,8 +119,18 @@ def sorted_key_build_pencil(op: H1Operator, degree: int) -> PencilBlock:
                 row[j] = row.get(j, 0) + w
         rows[k].append((row, count))
     return PencilBlock(
-        degree=degree, sym_basis=sym, dim_cyc=sum(keys.values()), rows=tuple(map(tuple, rows))
+        degree=degree, sym_basis=sym, dim_cyc=sum(keys.values()), rows=PencilRows(rows)
     )
+
+
+def eager_spectrum(block: PencilBlock, beta) -> tuple:
+    """(eigenvalues, basis_dims, n_spurious) of a `spectral.spectrum_report`,
+    from the full solve of every row of the block: the reference for the
+    report, which reads rows only where its solve needs them and counts the
+    spurious values as dim_symmetric less the certified vectors."""
+    sol = solve_pencil(block, beta)
+    eigenvalues = tuple(Counter(pr.value for pr in sol.certified).items())
+    return eigenvalues, (block.dim_sym, block.dim_cyc), len(sol.spurious)
 
 
 def _libm_dsin(x):

@@ -17,6 +17,7 @@ from tcsm.polyalg import (
     _necklace_walk,
     basis,
     count_necklaces,
+    count_partition_necklaces,
     elementary_symmetric,
     exact_divide,
     monomial_symmetric,
@@ -340,6 +341,7 @@ def test_necklaces_match_burnside_count(n, total):
     counts = [fixed_content_count(lam, n) for lam in partitions(n, n)]
     assert sum(counts) == total
     assert [len(necklaces(lam, n)) for lam in partitions(n, n)] == counts
+    assert [count_partition_necklaces(lam, n) for lam in partitions(n, n)] == counts
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -380,6 +382,10 @@ def test_necklace_walk_reports_first_change():
         walk = [(t, tuple(word)) for t, word in _necklace_walk(lam, n)]
         words = [word for _, word in walk]
         assert words == necklaces(lam, n)
+        # counted with no walk, from the partition or its zero-padded word
+        padded = lam + (0,) * (n - len(lam))
+        counts = (count_partition_necklaces(lam, n), count_partition_necklaces(padded, n))
+        assert counts == (len(words), len(words))
         assert set(words) == {cyclic_representative(e) for e in arrangements(lam, n)}
         assert all(a > b for a, b in zip(words, words[1:]))  # strictly descending
         previous = None

@@ -31,6 +31,7 @@ from tcsm.spectral import (
     H1Operator,
     PencilBlock,
     PencilError,
+    PencilRows,
     apply_H1,
     boost_shift_check,
     build_pencil,
@@ -42,7 +43,7 @@ from tcsm.spectral import (
 )
 from tcsm.wavefunction import POLY, StateSpec
 
-from references import apply_D, sorted_key_build_pencil
+from references import apply_D, eager_spectrum, sorted_key_build_pencil
 
 GOLDEN = Path(__file__).parent / "goldens" / "spectrum_n6_r2_beta1.json"
 
@@ -519,6 +520,65 @@ def test_pencil_matches_sorted_key_reference_at_high_degree(n):
         assert solve_pencil(block, Fraction(7, 3)) == solve_pencil(ref, Fraction(7, 3))
 
 
+# N 3-8, every r_eff (r >= N/2 gives the pairs of r = N/2), d <= min(2N, 10): 142 blocks
+@pytest.mark.parametrize("n", range(3, 9))
+def test_spectrum_report_matches_eager_reference(n):
+    # the report reads rows only where its solve needs them and takes
+    # n_spurious = dim_symmetric - len(certified); the full solve of the
+    # reference's rows gives the same levels, multiplicities, dims and
+    # spurious count.  A block whose heads were read, then forced, has the
+    # reference's rows and counts
+    for r in range(1, n // 2 + 1):
+        op = operator(n, r)
+        for degree in range(1, min(2 * n, 10) + 1):
+            ref = sorted_key_build_pencil(op, degree)
+            for beta in (ONE, Fraction(7, 3), Fraction(2, 5)):
+                rep = spectrum_report(op, degree, beta)
+                got = (rep.eigenvalues, rep.basis_dims, rep.n_spurious)
+                assert got == eager_spectrum(ref, beta)
+            block = build_pencil(op, degree)
+            for k in range(block.dim_sym):
+                block.rows.head(k)
+            assert _stored_rows(block) == _stored_rows(ref)
+
+
+def _count_walks(monkeypatch):
+    """Wrap the `_necklace_walk` that spectral imports: ([necklaces walked],
+    the partitions whose walk started, in order)."""
+    walked, started = [0], []
+    walk = spectral._necklace_walk
+
+    def counted(partition, nvars):
+        started.append(partition)
+        for step in walk(partition, nvars):
+            walked[0] += 1
+            yield step
+
+    monkeypatch.setattr(spectral, "_necklace_walk", counted)
+    return walked, started
+
+
+def test_spectrum_walks_only_what_the_solve_reads(monkeypatch):
+    # (13,3,13): 101 partitions and 400,024 necklaces, of which the heads and
+    # the two eigenspaces read a few hundred; no partition's walk starts twice
+    walked, started = _count_walks(monkeypatch)
+    rep = spectrum_report(operator(13, 3), 13, 1.0)
+    assert rep.basis_dims == (101, 400_024) and rep.n_spurious == 99
+    assert walked[0] < 1000
+    assert len(started) == len(set(started))
+    # full regime, 22 partitions: one necklace each, in the report and in the
+    # full solve, which reads every row
+    op = operator(8, 4)
+    walked[0] = 0
+    started.clear()
+    assert spectrum_report(op, 8, 1.0).basis_dims == (22, 810)
+    assert walked[0] == len(started) == len(set(started)) == 22
+    walked[0] = 0
+    started.clear()
+    solve_pencil(build_pencil(op, 8), ONE)
+    assert walked[0] == len(started) == len(set(started)) == 22
+
+
 def test_row_entries_skip_zero_columns():
     # leading zero columns, gaps between entries, a full-width entry in the top column
     bits = 5
@@ -546,13 +606,14 @@ def test_pencil_entries_fit_their_digits(n, r, degree):
 
 
 def test_pencil_memory_is_bounded_by_its_rows():
-    # (9,3,9): 2,704 necklaces, 344 distinct rows.  The walk keeps one word and
-    # one list of prefix sums, not a key per necklace: the sorted-key
-    # reference peaks at about 0.3 MiB here, the walk at about 0.1 MiB
+    # (9,3,9): 2,704 necklaces, 344 distinct rows, every partition read.  The
+    # walk keeps one word and one list of prefix sums, not a key per
+    # necklace: the sorted-key reference peaks at about 0.3 MiB here, the
+    # walk at about 0.1 MiB
     op = operator(9, 3)
     tracemalloc.start()
     try:
-        build_pencil(op, 9)
+        tuple(build_pencil(op, 9).rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -669,7 +730,7 @@ def test_later_head_restarts_an_emptied_span():
         degree=3,
         sym_basis=SimpleNamespace(labels=[(3,), (2, 1), (1, 1, 1)]),
         dim_cyc=4,
-        rows=((({}, 1),), (({1: 1}, 1), ({0: 1, 1: 2}, 1)), (({2: 6}, 1),)),
+        rows=PencilRows(((({}, 1),), (({1: 1}, 1), ({0: 1, 1: 2}, 1)), (({2: 6}, 1),))),
     )
     sol = solve_pencil(block, 1)
     assert [(pr.value, pr.vector) for pr in sol.certified] == [(9, (0, 0, 1))]
